@@ -7,6 +7,13 @@ bracket closes below the configured tolerance.  The positive diagonal
 shift guarantees convergence for weakly irreducible operators, i.e. for
 connected hypergraphs; disconnected instances are solved per component in
 :func:`spectral_radius`.
+
+The power iteration (Ng, Qi & Zhou 2009) contracts slowly when the spectral
+gap is small, as on long loose paths.  For hypergraph operators the bracket
+gap is checked every ``STALL_WINDOW`` iterations; if it shrank by less than
+half, the run switches to Newton-Noda steps (Liu, Guo & Lin 2017), which
+converge in a handful of steps.  Every step, of either kind, counts as one
+iteration, and the bracket always comes from the ratios at the iterate.
 """
 
 from __future__ import annotations
@@ -27,6 +34,10 @@ from .tensors import (
 
 DEFAULT_TOLERANCE = 1e-10
 DEFAULT_MAX_ITERATIONS = 100_000
+#: Iterations between two stall checks of the power iteration's bracket.
+STALL_WINDOW = 100
+#: Relative residual at which the conjugate gradient inner solve stops.
+CG_RTOL = 1e-12
 
 _KIND_ALIASES = {"q": SIGNLESS_LAPLACIAN, "a": ADJACENCY}
 _RADIUS_KINDS = (ADJACENCY, SIGNLESS_LAPLACIAN)
@@ -95,12 +106,64 @@ def default_shift(kind: str) -> float:
     return 1.0 if kind in (ADJACENCY, DENSE) else 0.0
 
 
+def _conjugate_gradient(matvec, b: np.ndarray, diag: np.ndarray) -> np.ndarray:
+    """Conjugate gradient for a symmetric positive definite system,
+    preconditioned by the positive diagonal ``diag``, stopped at relative
+    residual ``CG_RTOL`` or after ``len(b)`` steps, whichever comes first."""
+    x = np.zeros_like(b)
+    res = b.copy()
+    z = res / diag
+    p = z.copy()
+    rz = float(res @ z)
+    stop = CG_RTOL * float(np.linalg.norm(b))
+    for _ in range(len(b)):
+        q = matvec(p)
+        pq = float(p @ q)
+        if not pq > 0.0:
+            break
+        alpha = rz / pq
+        x += alpha * p
+        res -= alpha * q
+        if float(np.linalg.norm(res)) <= stop:
+            break
+        z = res / diag
+        rz_next = float(res @ z)
+        p *= rz_next / rz
+        p += z
+        rz = rz_next
+    return x
+
+
+def _newton_noda_step(T: TensorOperator, x: np.ndarray, lam: float, xp: np.ndarray):
+    """One Newton-Noda step (Liu, Guo & Lin, Numer. Math. 2017) from x > 0.
+
+    With lam the upper ratio bound, M = (r-1) lam diag(x^(r-2)) - J(x) is a
+    symmetric nonsingular M-matrix while lam > rho, so ``M w = x^[r-1]`` has
+    a positive solution.  Returns the next iterate before normalization, or
+    None when the computed w is not finite and strictly positive.
+    """
+    r = T.order
+    scale = (r - 1) * lam * x ** (r - 2)
+    if not np.all(scale > 0):
+        return None
+    w = _conjugate_gradient(lambda v: scale * v - T.jacobian_apply(x, v), xp, scale)
+    if not (np.all(np.isfinite(w)) and np.all(w > 0)):
+        return None
+    return (r - 2) / (r - 1) * x + float(x.sum()) / ((r - 1) * float(w.sum())) * w
+
+
 def _iterate(T: TensorOperator, start: np.ndarray, shift: float,
              tolerance: float, max_iterations: int):
     r = T.order
     power = r - 1
     x = start / r_norm(start, r)
     lam_lo = lam_hi = float("nan")
+    # Newton-Noda state: stall checks run until one switches newton on; it
+    # stays on until a step gives no positive w or the gap stops shrinking
+    # (at rounding level), and then the power iteration finishes the run
+    may_switch = T.kind in _RADIUS_KINDS
+    newton = False
+    checked_gap = newton_gap = float("inf")
     for it in range(1, max_iterations + 1):
         xp = x ** power
         y = T.apply(x) + shift * xp
@@ -111,8 +174,20 @@ def _iterate(T: TensorOperator, start: np.ndarray, shift: float,
             ratios = y / xp
         lam_lo = float(ratios.min())
         lam_hi = float(ratios.max())
-        if lam_hi - lam_lo <= tolerance:
+        gap = lam_hi - lam_lo
+        if gap <= tolerance:
             return x, lam_lo, lam_hi, it, True
+        if may_switch and it % STALL_WINDOW == 0:
+            newton = gap > 0.5 * checked_gap
+            may_switch = not newton
+            checked_gap = gap
+        if newton:
+            step = _newton_noda_step(T, x, lam_hi - shift, xp) if gap < newton_gap else None
+            newton_gap = gap
+            if step is not None:
+                x = step / r_norm(step, r)
+                continue
+            newton = False
         x = y ** (1.0 / power)
         x /= r_norm(x, r)
     return x, lam_lo, lam_hi, max_iterations, False
@@ -172,7 +247,9 @@ def spectral_radius(H: UniformHypergraph, kind: str = ADJACENCY,
     Disconnected hypergraphs are solved per component and the maximum is
     reported, with the winning component's vector embedded into the full
     dimension (zeros elsewhere); ties go to the lowest-indexed component.
-    Isolated vertices contribute 0.
+    The bracket is the largest component lower and upper bound, which
+    encloses the maximum of the component radii even when the winner's
+    bracket does not.  Isolated vertices contribute 0.
     """
     kind = _resolve_kind(kind)
     cfg = cfg or SolverConfig()
@@ -182,10 +259,13 @@ def spectral_radius(H: UniformHypergraph, kind: str = ADJACENCY,
     best_vertices: tuple[int, ...] = ()
     total_iterations = 0
     all_converged = True
+    lower = upper = float("-inf")
     for comp in H.components():
         pair = power_iterate(TensorOperator.for_hypergraph(comp.graph, kind), cfg)
         total_iterations += pair.iterations
         all_converged = all_converged and pair.converged
+        lower = max(lower, pair.lower)
+        upper = max(upper, pair.upper)
         if best_pair is None or pair.value > best_pair.value:
             best_pair = pair
             best_vertices = comp.vertices
@@ -197,8 +277,8 @@ def spectral_radius(H: UniformHypergraph, kind: str = ADJACENCY,
         vector=vector,
         residual=eigen_residual(full_op, best_pair.value, vector),
         iterations=total_iterations,
-        lower=best_pair.lower,
-        upper=best_pair.upper,
+        lower=lower,
+        upper=upper,
         converged=all_converged,
     )
 

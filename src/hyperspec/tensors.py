@@ -254,17 +254,26 @@ class TensorOperator:
             raise ValueError("entries_min is only defined for dense operators")
         return float(self.tensor.entries.min())
 
-    def _apply_adjacency(self, x: np.ndarray) -> np.ndarray:
-        if self._edges.shape[0] == 0:
-            return np.zeros(self.dim)
-        gathered = x[self._edges]
+    def _edge_sum(self, contrib: np.ndarray) -> np.ndarray:
+        # bincount keeps the reduction order fixed, so applies are
+        # deterministic; without edges it returns integers, hence the cast
+        sums = np.bincount(self._edges.ravel(), weights=contrib.ravel(), minlength=self.dim)
+        return sums.astype(float, copy=False)
+
+    @staticmethod
+    def _prefix_suffix(gathered: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per edge row, the products of the entries left and right of each slot."""
         lo = np.ones_like(gathered)
         np.cumprod(gathered[:, :-1], axis=1, out=lo[:, 1:])
         hi = np.ones_like(gathered)
         hi[:, :-1] = np.cumprod(gathered[:, :0:-1], axis=1)[:, ::-1]
-        contrib = lo * hi
-        # bincount keeps the reduction order fixed, so applies are deterministic
-        return np.bincount(self._edges.ravel(), weights=contrib.ravel(), minlength=self.dim)
+        return lo, hi
+
+    def _apply_adjacency(self, x: np.ndarray) -> np.ndarray:
+        if self._edges.shape[0] == 0:
+            return np.zeros(self.dim)
+        lo, hi = self._prefix_suffix(x[self._edges])
+        return self._edge_sum(lo * hi)
 
     def apply(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -280,6 +289,37 @@ class TensorOperator:
         if self.kind == SIGNLESS_LAPLACIAN:
             return diag + self._apply_adjacency(x)
         return diag - self._apply_adjacency(x)
+
+    def jacobian_apply(self, x, v) -> np.ndarray:
+        """The Jacobian of ``x -> Tx`` at x, applied to v.
+
+        For the adjacency kind, entry (i, j) of the Jacobian is the sum, over
+        edges containing both i and j, of the product of x over the rest of
+        the edge; the signless Laplacian adds ``(r-1) d x^(r-2)`` on the
+        diagonal.  The Jacobian is symmetric and, by Euler's identity for
+        homogeneous maps, ``J(x) x = (r-1) Tx``.  No matrix is built: time
+        and memory are O(m r), as for one apply.
+        """
+        if self.kind not in (ADJACENCY, SIGNLESS_LAPLACIAN):
+            raise ValueError(f"jacobian_apply is not defined for kind {self.kind!r}")
+        x = np.asarray(x, dtype=float)
+        v = np.asarray(v, dtype=float)
+        if x.shape != (self.dim,) or v.shape != (self.dim,):
+            raise ValueError(f"vector dimensions {x.shape}, {v.shape} do not match {self.dim}")
+        gx, gv = x[self._edges], v[self._edges]
+        lo, hi = self._prefix_suffix(gx)
+        # directional derivatives along v of the prefix and suffix products
+        dlo = np.zeros_like(gx)
+        dhi = np.zeros_like(gx)
+        r = self.order
+        for p in range(1, r):
+            dlo[:, p] = dlo[:, p - 1] * gx[:, p - 1] + lo[:, p - 1] * gv[:, p - 1]
+            q = r - 1 - p
+            dhi[:, q] = dhi[:, q + 1] * gx[:, q + 1] + hi[:, q + 1] * gv[:, q + 1]
+        out = self._edge_sum(dlo * hi + lo * dhi)
+        if self.kind == SIGNLESS_LAPLACIAN:
+            out += (r - 1) * self._deg * x ** (r - 2) * v
+        return out
 
 
 def adjacency_apply(H: UniformHypergraph, x) -> np.ndarray:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import oracles
+from hyperspec import solver
 from hyperspec import (
     SolverConfig,
     TensorOperator,
@@ -15,6 +16,7 @@ from hyperspec import (
     loose_path,
     perron_vector_check,
     power_iterate,
+    q_degree_bound,
     random_hypergraph,
     rayleigh,
     single_edge,
@@ -22,6 +24,12 @@ from hyperspec import (
 )
 
 RHO_LOOSE_PATH = 2.0 ** (1.0 / 3.0)  # symmetry reduction: lambda^3 = 2
+
+
+def rho_loose_path(r, length):
+    """Closed form from the power-hypergraph identity rho(G^r) = rho(G)^(2/r),
+    with G the graph path on length + 1 vertices."""
+    return (2.0 * math.cos(math.pi / (length + 2))) ** (2.0 / r)
 
 
 def test_complete_5_3_radius():
@@ -33,6 +41,62 @@ def test_complete_5_3_radius():
 def test_loose_path_radius_closed_form():
     pair = power_iterate(TensorOperator.adjacency(loose_path(3, 2)))
     assert abs(pair.value - RHO_LOOSE_PATH) < 1e-8
+    assert abs(rho_loose_path(3, 2) - RHO_LOOSE_PATH) < 1e-15
+
+
+@pytest.mark.parametrize("r,length", [(3, 400), (4, 100)])
+@pytest.mark.parametrize("kind", ["adjacency", "q"])
+def test_long_loose_path_converges_quickly(r, length, kind):
+    # the power iteration alone stalls here (loose_path(3, 400) hit the
+    # 100k cap); the Newton-Noda finish needs a few hundred iterations
+    H = loose_path(r, length)
+    pair = spectral_radius(H, kind)
+    assert pair.converged
+    assert pair.iterations < 1000
+    # the finish starts at a stall check and converges quadratically
+    assert pair.iterations % solver.STALL_WINDOW <= 8
+    assert pair.lower <= pair.value <= pair.upper
+    if kind == "adjacency":
+        assert pair.lower <= rho_loose_path(r, length) <= pair.upper
+    else:
+        assert perron_vector_check(H, pair, kind)
+        assert pair.value >= q_degree_bound(H)
+
+
+def test_newton_noda_fallback_to_power_iteration(monkeypatch):
+    # a Jacobian that makes M negative definite leaves w = 0, which is not
+    # positive, so the solve must finish by power iteration alone
+    calls = []
+
+    def broken(self, x, v):
+        calls.append(1)
+        return 1e6 * np.asarray(v)
+
+    monkeypatch.setattr(TensorOperator, "jacobian_apply", broken)
+    pair = spectral_radius(loose_path(3, 50), "adjacency")
+    assert calls
+    assert pair.converged
+    assert pair.lower <= rho_loose_path(3, 50) <= pair.upper
+    assert pair.iterations > 1000
+
+
+def test_newton_noda_hands_back_at_rounding_level(monkeypatch):
+    # a tolerance below rounding cannot be met; once the Newton-Noda steps
+    # stop shrinking the gap, the cheap power iteration runs out the cap
+    steps = []
+    real_step = solver._newton_noda_step
+
+    def counted(*args):
+        steps.append(1)
+        return real_step(*args)
+
+    monkeypatch.setattr(solver, "_newton_noda_step", counted)
+    pair = spectral_radius(loose_path(3, 50), "adjacency",
+                           SolverConfig(tolerance=1e-18, max_iterations=2000))
+    assert not pair.converged
+    assert pair.iterations == 2000
+    assert 0 < len(steps) <= 20
+    assert pair.lower <= rho_loose_path(3, 50) <= pair.upper
 
 
 def test_distinct_index_tensor_radius():
@@ -77,6 +141,19 @@ def test_spectral_radius_disconnected_max_over_components():
     assert np.all(pair.vector[:3] > 0)
     assert np.all(pair.vector[3:] == 0.0)
     assert pair.residual < 1e-9
+
+
+def test_disconnected_bracket_encloses_radius():
+    # loose_path(3, 5) beside a sunflower of three edges: after three
+    # iterations the winning component's bracket missed the path's radius
+    path = loose_path(3, 5)
+    n = path.n
+    petals = ((n, n + 1, n + 2), (n, n + 3, n + 4), (n, n + 5, n + 6))
+    H = UniformHypergraph(n + 7, 3, path.edges + petals)
+    pair = spectral_radius(H, "adjacency", SolverConfig(max_iterations=3))
+    assert not pair.converged
+    assert pair.lower <= rho_loose_path(3, 5) <= pair.upper
+    assert pair.lower <= pair.value <= pair.upper
 
 
 def test_spectral_radius_q_single_edge():

@@ -1,7 +1,11 @@
 """Tests for tensor applies, dense tensors, and direct products."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from hyperspec import (
@@ -98,6 +102,47 @@ def test_relabeling_invariance_of_rayleigh():
     a = rayleigh(TensorOperator.adjacency(H), x)
     b = rayleigh(TensorOperator.adjacency(relabeled), xp)
     assert abs(a - b) < 1e-12
+
+
+# jacobian applies
+
+
+@st.composite
+def _jacobian_cases(draw):
+    r = draw(st.integers(3, 5))
+    n = draw(st.integers(r, 7))
+    m = draw(st.integers(0, 9))
+    H = random_hypergraph(n, r, min(m, math.comb(n, r)), draw(st.integers(0, 10**6)))
+    entries = st.floats(0.05, 2.0, allow_nan=False)
+    x = np.array(draw(st.lists(entries, min_size=n, max_size=n)))
+    v = np.array(draw(st.lists(st.floats(-2.0, 2.0), min_size=n, max_size=n)))
+    return H, x, v
+
+
+@settings(max_examples=60, deadline=None)
+@given(_jacobian_cases(), st.sampled_from(["adjacency", "signless-laplacian"]))
+def test_jacobian_apply_matches_dense_contraction(case, kind):
+    H, x, v = case
+    T = TensorOperator.for_hypergraph(H, kind)
+    # (r-1) T x^(r-2), the dense tensor contracted r-2 times with x
+    matrix = dense_tensor_of(H, kind).entries
+    for _ in range(H.r - 2):
+        matrix = matrix.dot(x)
+    np.testing.assert_allclose(
+        T.jacobian_apply(x, v), (H.r - 1) * matrix.dot(v), rtol=1e-12, atol=1e-12
+    )
+    # Euler's identity for the degree-(r-1) homogeneous apply
+    np.testing.assert_allclose(
+        T.jacobian_apply(x, x), (H.r - 1) * T.apply(x), rtol=1e-12, atol=1e-12
+    )
+
+
+def test_jacobian_apply_rejects_other_kinds_and_dimensions():
+    H = single_edge(3)
+    with pytest.raises(ValueError):
+        TensorOperator.degree_diagonal(H).jacobian_apply(np.ones(3), np.ones(3))
+    with pytest.raises(ValueError):
+        TensorOperator.adjacency(H).jacobian_apply(np.ones(3), np.ones(2))
 
 
 # dense tensors
