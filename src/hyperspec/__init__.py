@@ -3,7 +3,6 @@
 from .blowup import (
     BlowupHypergraph,
     blowup,
-    check_blowup_connectivity,
     check_product_identity,
     check_q_identities,
     check_spectral_scaling,

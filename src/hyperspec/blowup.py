@@ -42,6 +42,9 @@ BLOWUP_EDGE_CAP = 5_000_000
 #: Materialize the explicit product tensor only below this entry count.
 DENSE_CHECK_BUDGET = 1 << 22
 
+#: Default relative tolerance of the apply identities.
+IDENTITY_RTOL = 1e-10
+
 #: Default tolerance for comparing two independently solved radii.
 SCALING_TOLERANCE = 1e-6
 
@@ -93,15 +96,6 @@ def blowup(
     return BlowupHypergraph(H, UniformHypergraph(H.n * r, r, tuple(edges)))
 
 
-def check_blowup_connectivity(H: UniformHypergraph) -> bool:
-    """Whether the blow-up is connected.
-
-    For r >= 3 this matches the connectivity of the base; for r = 2 a
-    connected base can blow up disconnected, so no claim is made there.
-    """
-    return blowup(H).tilde.is_connected()
-
-
 def kronecker_adjacency_apply(H: UniformHypergraph, w) -> np.ndarray:
     """Apply the product (base adjacency x all-distinct-labels) to w.
 
@@ -151,24 +145,20 @@ def _relative_max_error(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.max(np.abs(a - b))) / scale
 
 
-def check_product_identity(
-    H: UniformHypergraph,
-    trials: int = 50,
-    seed: int = 0,
-    rtol: float = 1e-10,
-    tilde: UniformHypergraph | None = None,
-) -> ProductIdentityCheck:
-    """Verify the blow-up adjacency equals the direct product, on random
-    vectors and (when small enough) entry by entry.
+def _identity_trials(H, tilde, trials, seed, rtol) -> tuple[ProductIdentityCheck, bool, float]:
+    """Both apply identities of the blow-up ``tilde``, on the same vectors.
 
-    ``tilde`` overrides the constructed blow-up; it exists as a fault
-    injection seam so tests can confirm a mutated blow-up is rejected.
+    Its adjacency must equal the product (base adjacency) x (all-distinct
+    labels), and its signless Laplacian (r-1)! (degree x unit) plus that
+    product, so the product side is applied once per vector.  Returns the
+    product check, then whether the signless Laplacian identity held and
+    its worst error up to its first failure.  The loop ends early only once
+    both have failed.
     """
-    r = H.r
-    if tilde is None:
-        tilde = blowup(H).tilde
-    lhs = TensorOperator.adjacency(tilde)
-    rn = tilde.n
+    r, rn = H.r, tilde.n
+    factor = float(math.factorial(r - 1))
+    lhs_adjacency = TensorOperator.adjacency(tilde)
+    lhs_signless = TensorOperator.signless_laplacian(tilde)
     entrywise_checked = rn**r <= DENSE_CHECK_BUDGET
     entrywise_ok = True
     if entrywise_checked:
@@ -177,22 +167,65 @@ def check_product_identity(
             distinct_index_tensor(r, dim_cap=r),
             dim_cap=rn,
         )
-        rhs_apply = product.apply
+        degree_term = factor * direct_product(
+            dense_tensor_of(H, DEGREE_DIAGONAL, dim_cap=H.n),
+            unit_tensor(r, r, dim_cap=r),
+            dim_cap=rn,
+        )
+        product_apply, degree_apply = product.apply, degree_term.apply
         tilde_dense = dense_tensor_of(tilde, ADJACENCY, dim_cap=rn)
         entrywise_ok = bool(
             np.allclose(tilde_dense.entries, product.entries, rtol=0.0, atol=1e-12)
         )
     else:
-        rhs_apply = lambda w: kronecker_adjacency_apply(H, w)  # noqa: E731
+        scaled_deg = factor * np.repeat(np.array(H.degrees(), dtype=float), r)
+
+        def product_apply(w):
+            return kronecker_adjacency_apply(H, w)
+
+        def degree_apply(w):
+            return scaled_deg * w ** (r - 1)
+
     rng = np.random.default_rng(seed)
-    worst = 0.0
+    product_worst = apply_worst = 0.0
+    witness = None
+    apply_ok = True
     for _ in range(trials):
         w = rng.standard_normal(rn)
-        err = _relative_max_error(lhs.apply(w), rhs_apply(w))
-        worst = max(worst, err)
-        if err > rtol:
-            return ProductIdentityCheck(False, worst, trials, entrywise_checked, witness=w)
-    return ProductIdentityCheck(entrywise_ok, worst, trials, entrywise_checked)
+        product_w = product_apply(w)
+        if witness is None:
+            err = _relative_max_error(lhs_adjacency.apply(w), product_w)
+            product_worst = max(product_worst, err)
+            if err > rtol:
+                witness = w
+        if apply_ok:
+            err = _relative_max_error(lhs_signless.apply(w), degree_apply(w) + product_w)
+            apply_worst = max(apply_worst, err)
+            if apply_worst > rtol:
+                apply_ok = False
+        if witness is not None and not apply_ok:
+            break
+    product_ok = witness is None and entrywise_ok
+    check = ProductIdentityCheck(product_ok, product_worst, trials, entrywise_checked, witness)
+    return check, apply_ok, apply_worst
+
+
+def check_product_identity(
+    H: UniformHypergraph,
+    trials: int = 50,
+    seed: int = 0,
+    rtol: float = IDENTITY_RTOL,
+    tilde: UniformHypergraph | None = None,
+) -> ProductIdentityCheck:
+    """Verify the blow-up adjacency equals the direct product, on random
+    vectors and (when small enough) entry by entry.
+
+    ``tilde`` overrides the constructed blow-up; it exists as a fault
+    injection seam so tests can confirm a mutated blow-up is rejected.
+    """
+    if tilde is None:
+        tilde = blowup(H).tilde
+    return _identity_trials(H, tilde, trials, seed, rtol)[0]
 
 
 @dataclass
@@ -218,15 +251,16 @@ class ScalingReport:
         }
 
 
-def _scaling_check(H, kind, cfg, tolerance) -> ScalingReport:
+def _scaling_check(bl, kind, cfg, tolerance, base_pair=None) -> ScalingReport:
+    # base_pair is the base solve, when it is already done
+    H, tilde = bl.base, bl.tilde
     factor = float(math.factorial(H.r - 1))
     cfg = cfg or SolverConfig()
-    tilde = blowup(H).tilde
-    base_pair = spectral_radius(H, kind, cfg)
+    if base_pair is None:
+        base_pair = spectral_radius(H, kind, cfg)
     tilde_pair = spectral_radius(tilde, kind, cfg)
     deviation = abs(tilde_pair.value - factor * base_pair.value)
-    ones = np.ones(H.r)
-    kron_vec = kron_vector(base_pair.vector, ones)
+    kron_vec = kron_vector(base_pair.vector, np.ones(H.r))
     kron_residual = eigen_residual(
         TensorOperator.for_hypergraph(tilde, kind), factor * base_pair.value, kron_vec
     )
@@ -247,7 +281,7 @@ def check_spectral_scaling(
     """Adjacency radius of the blow-up must equal (r-1)! times the base
     radius, and (base Perron vector) x (all-ones labels) must be the
     matching eigenvector."""
-    return _scaling_check(H, ADJACENCY, cfg, tolerance)
+    return _scaling_check(blowup(H), ADJACENCY, cfg, tolerance)
 
 
 @dataclass
@@ -273,44 +307,15 @@ def check_q_identities(
     cfg: SolverConfig | None = None,
     trials: int = 50,
     seed: int = 0,
-    rtol: float = 1e-10,
+    rtol: float = IDENTITY_RTOL,
     tolerance: float = SCALING_TOLERANCE,
 ) -> QIdentityReport:
     """The blow-up signless Laplacian must equal
     (r-1)! (degree x unit) + (adjacency x all-distinct-labels),
     and its radius must be (r-1)! times the base radius."""
-    r = H.r
-    factor = float(math.factorial(r - 1))
-    tilde = blowup(H).tilde
-    lhs = TensorOperator.signless_laplacian(tilde)
-    rn = tilde.n
-    if rn**r <= DENSE_CHECK_BUDGET:
-        rhs = factor * direct_product(
-            dense_tensor_of(H, DEGREE_DIAGONAL, dim_cap=H.n),
-            unit_tensor(r, r, dim_cap=r),
-            dim_cap=rn,
-        ) + direct_product(
-            dense_tensor_of(H, ADJACENCY, dim_cap=H.n),
-            distinct_index_tensor(r, dim_cap=r),
-            dim_cap=rn,
-        )
-        rhs_apply = rhs.apply
-    else:
-        deg = np.repeat(np.array(H.degrees(), dtype=float), r)
-
-        def rhs_apply(w):
-            return factor * deg * np.asarray(w) ** (r - 1) + kronecker_adjacency_apply(H, w)
-
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    apply_ok = True
-    for _ in range(trials):
-        w = rng.standard_normal(rn)
-        worst = max(worst, _relative_max_error(lhs.apply(w), rhs_apply(w)))
-        if worst > rtol:
-            apply_ok = False
-            break
-    scaling = _scaling_check(H, SIGNLESS_LAPLACIAN, cfg, tolerance)
+    bl = blowup(H)
+    _, apply_ok, worst = _identity_trials(H, bl.tilde, trials, seed, rtol)
+    scaling = _scaling_check(bl, SIGNLESS_LAPLACIAN, cfg, tolerance)
     return QIdentityReport(apply_ok, worst, scaling, apply_ok and scaling.ok)
 
 
@@ -325,6 +330,7 @@ class BlowupVerification:
     certificate_gap: float
     certificate_ok: bool
     ok: bool
+    blowup: BlowupHypergraph = field(repr=False)
 
     def to_json(self) -> dict:
         return {
@@ -344,16 +350,27 @@ def verify_blowup(
     cfg: SolverConfig | None = None,
     trials: int = 50,
     seed: int = 0,
+    base_pairs: dict[str, EigenPair] | None = None,
 ) -> BlowupVerification:
-    """Run the full blow-up identity suite on one hypergraph."""
+    """Run the full blow-up identity suite on one hypergraph in one pass.
+
+    The blow-up is built once, the identity trials run once for both
+    kinds, and each radius is solved once.  ``base_pairs`` maps a kind to
+    its already solved base pair (as from :func:`verify_bounds`); kinds
+    missing from it are solved here.
+    """
     bl = blowup(H)
+    base_pairs = base_pairs or {}
     if H.r >= 3:
         connectivity_ok = bl.tilde.is_connected() == H.is_connected()
     else:
         connectivity_ok = True  # no claim for r=2
-    product = check_product_identity(H, trials=trials, seed=seed)
-    scaling = check_spectral_scaling(H, cfg)
-    q_identities = check_q_identities(H, cfg, trials=trials, seed=seed)
+    product, apply_ok, apply_error = _identity_trials(H, bl.tilde, trials, seed, IDENTITY_RTOL)
+    scaling, q_scaling = (
+        _scaling_check(bl, kind, cfg, SCALING_TOLERANCE, base_pairs.get(kind))
+        for kind in (ADJACENCY, SIGNLESS_LAPLACIAN)
+    )
+    q_identities = QIdentityReport(apply_ok, apply_error, q_scaling, apply_ok and q_scaling.ok)
     if H.num_edges > 0:
         cert = certificate_vector(H, optimal_weights(H))
         achieved = rayleigh(TensorOperator.adjacency(bl.tilde), cert)
@@ -365,5 +382,5 @@ def verify_blowup(
         certificate_ok = True
     ok = connectivity_ok and product.ok and scaling.ok and q_identities.ok and certificate_ok
     return BlowupVerification(
-        connectivity_ok, product, scaling, q_identities, certificate_gap, certificate_ok, ok
+        connectivity_ok, product, scaling, q_identities, certificate_gap, certificate_ok, ok, bl
     )

@@ -8,7 +8,7 @@ instances, which is what the equality/consistency flags track.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -76,7 +76,11 @@ def certificate_vector(H: UniformHypergraph, weights) -> np.ndarray:
 
 @dataclass
 class BoundReport:
-    """Outcome of checking one bound against one computed spectral radius."""
+    """Outcome of checking one bound against one computed spectral radius.
+
+    ``pair`` is the solve behind ``rho``, kept so that later checks on the
+    same hypergraph can reuse it.
+    """
 
     kind: str
     bound: float
@@ -87,6 +91,7 @@ class BoundReport:
     connected: bool
     consistent: bool
     converged: bool = True
+    pair: EigenPair | None = field(default=None, repr=False, compare=False)
 
     CSV_HEADER = "kind,bound,rho,gap,regular,equality,connected,consistent"
 
@@ -144,6 +149,7 @@ def verify_bounds(H: UniformHypergraph, cfg: SolverConfig | None = None) -> list
             connected=connected,
             consistent=consistent,
             converged=pair.converged,
+            pair=pair,
         )
 
     reports = [
@@ -157,3 +163,9 @@ def verify_bounds(H: UniformHypergraph, cfg: SolverConfig | None = None) -> list
     if H.r == 2:
         reports.append(build(HOFMEISTER_R2, pm, pair_a, False))
     return reports
+
+
+def bounds_hold(reports: list[BoundReport], tolerance: float) -> bool:
+    """The bound gate: every report is consistent, and no radius falls below
+    its bound by more than the solver tolerance (plus 1e-9 of slack)."""
+    return all(rep.consistent and rep.gap >= -(tolerance + 1e-9) for rep in reports)

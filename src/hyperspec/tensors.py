@@ -3,15 +3,12 @@
 The adjacency entry convention puts 1/(r-1)! on every index permutation of
 an edge, so the apply reduces to one leave-one-out product per (edge,
 vertex) pair and the all-ones apply reproduces the degree vector.  Dense
-storage is reserved for small dimensions (cap 12 by default, overridable
-via the HYPERSPEC_DENSE_CAP environment variable).
+storage is reserved for small dimensions (cap 12 by default).
 """
 
 from __future__ import annotations
 
-import json
 import math
-import os
 from itertools import permutations
 
 import numpy as np
@@ -21,7 +18,6 @@ from .hypergraph import UniformHypergraph
 
 DENSE_DIM_CAP = 12
 DENSE_ORDER_CAP = 6
-DENSE_CAP_ENV = "HYPERSPEC_DENSE_CAP"
 
 ADJACENCY = "adjacency"
 DEGREE_DIAGONAL = "degree-diagonal"
@@ -30,20 +26,6 @@ LAPLACIAN = "laplacian"
 DENSE = "dense"
 
 HYPERGRAPH_KINDS = (ADJACENCY, DEGREE_DIAGONAL, SIGNLESS_LAPLACIAN, LAPLACIAN)
-
-
-def dense_dim_cap() -> int:
-    """Effective dimension cap for dense tensors."""
-    value = os.environ.get(DENSE_CAP_ENV)
-    if value is None:
-        return DENSE_DIM_CAP
-    try:
-        cap = int(value)
-    except ValueError:
-        raise ValueError(f"{DENSE_CAP_ENV} must be an integer, got {value!r}") from None
-    if cap < 1:
-        raise ValueError(f"{DENSE_CAP_ENV} must be positive, got {cap}")
-    return cap
 
 
 class DenseTensor:
@@ -60,7 +42,7 @@ class DenseTensor:
             raise ValueError(f"tensor order must be at least 2, got {arr.ndim}")
         if len(set(arr.shape)) != 1:
             raise ValueError(f"tensor must be cubical, got shape {arr.shape}")
-        cap = dense_dim_cap() if dim_cap is None else dim_cap
+        cap = DENSE_DIM_CAP if dim_cap is None else dim_cap
         if arr.shape[0] > cap:
             raise CapacityError(f"dense dimension {arr.shape[0]} exceeds cap {cap}")
         if arr.ndim > order_cap:
@@ -97,19 +79,6 @@ class DenseTensor:
         return DenseTensor(self.entries * float(scalar), dim_cap=self.dim)
 
     __rmul__ = __mul__
-
-    def to_json(self) -> str:
-        """Serialize as order, dim, and the flat entry list in C index order."""
-        return json.dumps(
-            {"order": self.order, "dim": self.dim, "entries": self.entries.ravel().tolist()}
-        )
-
-    @classmethod
-    def from_json(cls, text: str, dim_cap: int | None = None) -> "DenseTensor":
-        obj = json.loads(text)
-        r, m = int(obj["order"]), int(obj["dim"])
-        arr = np.array(obj["entries"], dtype=float).reshape((m,) * r)
-        return cls(arr, dim_cap=dim_cap)
 
 
 def unit_tensor(r: int, m: int, dim_cap: int | None = None) -> DenseTensor:
@@ -171,7 +140,7 @@ def direct_product(A: DenseTensor, B: DenseTensor, dim_cap: int | None = None) -
         raise ValueError(f"order mismatch: {A.order} vs {B.order}")
     r = A.order
     n, m = A.dim, B.dim
-    cap = dense_dim_cap() if dim_cap is None else dim_cap
+    cap = DENSE_DIM_CAP if dim_cap is None else dim_cap
     if n * m > cap:
         raise CapacityError(f"product dimension {n * m} exceeds cap {cap}")
     outer = np.multiply.outer(A.entries, B.entries)

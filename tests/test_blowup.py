@@ -1,5 +1,6 @@
 """Tests for the blow-up construction and its spectral identities."""
 
+import importlib
 import math
 
 import numpy as np
@@ -10,7 +11,6 @@ from hyperspec import (
     TensorOperator,
     UniformHypergraph,
     blowup,
-    check_blowup_connectivity,
     check_product_identity,
     check_q_identities,
     check_spectral_scaling,
@@ -24,6 +24,9 @@ from hyperspec import (
     single_edge,
     verify_blowup,
 )
+
+# the package attribute ``hyperspec.blowup`` is the function, not the module
+blowup_mod = importlib.import_module("hyperspec.blowup")
 
 ACCEPTANCE_TRIO = (single_edge(3), loose_path(3, 2), complete(4, 3))
 
@@ -81,9 +84,11 @@ def test_vertex_map_round_trip():
 
 
 def test_blowup_connectivity_matches_base():
-    assert check_blowup_connectivity(loose_path(3, 2))
-    assert check_blowup_connectivity(single_edge(4))
-    assert not check_blowup_connectivity(UniformHypergraph(6, 3, ((0, 1, 2), (3, 4, 5))))
+    disjoint_pair = UniformHypergraph(6, 3, ((0, 1, 2), (3, 4, 5)))
+    for H, connected in ((loose_path(3, 2), True), (single_edge(4), True), (disjoint_pair, False)):
+        result = verify_blowup(H, trials=2)
+        assert result.connectivity_ok
+        assert result.blowup.tilde.is_connected() is connected
 
 
 def test_blowup_r2_can_disconnect():
@@ -109,6 +114,43 @@ def test_product_identity_mutated_tilde_fails_with_witness():
     assert not result.ok
     assert result.witness is not None
     assert result.witness.shape == (15,)
+
+
+def test_identity_trials_reject_mutated_tilde_in_both_checks():
+    H = loose_path(3, 2)
+    tilde = blowup(H).tilde
+    mutated = UniformHypergraph(tilde.n, tilde.r, tilde.edges[1:])
+    product, apply_ok, apply_error = blowup_mod._identity_trials(H, mutated, 10, 0, 1e-10)
+    assert not product.ok
+    assert product.witness is not None
+    assert product.witness.shape == (15,)
+    assert not apply_ok
+    assert apply_error > 1e-10
+
+
+def test_verify_blowup_builds_once_and_applies_kronecker_once_per_trial(monkeypatch):
+    # 25**5 entries exceed DENSE_CHECK_BUDGET, so the product side goes
+    # through kronecker_adjacency_apply
+    H = single_edge(5)
+    assert (H.n * H.r) ** H.r > blowup_mod.DENSE_CHECK_BUDGET
+    calls = {"blowup": 0, "kron": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(blowup_mod, "blowup", counted("blowup", blowup_mod.blowup))
+    monkeypatch.setattr(
+        blowup_mod,
+        "kronecker_adjacency_apply",
+        counted("kron", blowup_mod.kronecker_adjacency_apply),
+    )
+    result = blowup_mod.verify_blowup(H, trials=4)
+    assert result.ok
+    assert calls == {"blowup": 1, "kron": 4}
 
 
 def test_kronecker_apply_matches_dense_product():

@@ -1,6 +1,8 @@
 """Tests for the command line interface and its exit-code contract."""
 
+import importlib
 import json
+from collections import Counter
 
 import pytest
 
@@ -162,3 +164,45 @@ def test_round_trip_through_cli_output(tmp_path, capsys):
     assert code == 0
     H = parse_hypergraph(out_path.read_text())
     assert parse_hypergraph(render_hypergraph(H)) == H
+
+
+def test_blowup_out_keeps_file_and_json_goes_to_stdout(tmp_path, capsys):
+    out_path = tmp_path / "t.hg"
+    code, out, _ = run(capsys, ["blowup", "--gen", "single_edge:3", "--out", str(out_path),
+                                "--json"])
+    assert code == 0
+    tilde = parse_hypergraph(out_path.read_text())
+    assert (tilde.n, tilde.num_edges) == (9, 6)
+    payload = json.loads(out)
+    assert payload["command"] == "blowup"
+    assert payload["tilde"] == {"n": 9, "r": 3, "edges": 6}
+
+
+def test_verify_solves_each_radius_once(capsys, monkeypatch):
+    solved = Counter()
+    original = importlib.import_module("hyperspec.solver").spectral_radius
+
+    def counted(H, kind="adjacency", cfg=None):
+        solved[(H, kind)] += 1
+        return original(H, kind, cfg)
+
+    for name in ("solver", "bounds", "blowup", "cli"):
+        module = importlib.import_module(f"hyperspec.{name}")
+        monkeypatch.setattr(module, "spectral_radius", counted)
+    code, out, _ = run(capsys, ["verify", "--json"])
+    assert code == 0
+    assert json.loads(out)["failures"] == 0
+    assert solved and max(solved.values()) == 1
+
+
+def test_bound_gate_is_shared(tmp_path, capsys, monkeypatch):
+    import hyperspec.cli as cli_mod
+
+    monkeypatch.setattr(cli_mod, "bounds_hold", lambda reports, tolerance: False)
+    code, _, _ = run(capsys, ["bound", "--gen", "complete:5,3"])
+    assert code == 4
+    (tmp_path / "a.hg").write_text("3 3\n1 2 3\n")
+    code, out, _ = run(capsys, ["verify", str(tmp_path)])
+    assert code == 4
+    row = next(line for line in out.splitlines() if line.split()[1:2] == ["bounds"])
+    assert row.split()[2] == "FAIL"

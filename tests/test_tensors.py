@@ -180,23 +180,9 @@ def test_dense_dimension_cap():
     DenseTensor(np.zeros((13, 13)), dim_cap=13)
 
 
-def test_dense_cap_env_override(monkeypatch):
-    monkeypatch.setenv("HYPERSPEC_DENSE_CAP", "15")
-    DenseTensor(np.zeros((15, 15)))
-    monkeypatch.setenv("HYPERSPEC_DENSE_CAP", "4")
-    with pytest.raises(CapacityError):
-        DenseTensor(np.zeros((5, 5)))
-
-
 def test_dense_order_cap():
     with pytest.raises(CapacityError):
         DenseTensor(np.zeros((2,) * 7))
-
-
-def test_dense_json_round_trip():
-    B = distinct_index_tensor(3)
-    again = DenseTensor.from_json(B.to_json())
-    np.testing.assert_array_equal(B.entries, again.entries)
 
 
 # direct products
