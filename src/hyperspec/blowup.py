@@ -178,7 +178,7 @@ def _identity_trials(H, tilde, trials, seed, rtol) -> tuple[ProductIdentityCheck
             np.allclose(tilde_dense.entries, product.entries, rtol=0.0, atol=1e-12)
         )
     else:
-        scaled_deg = factor * np.repeat(np.array(H.degrees(), dtype=float), r)
+        scaled_deg = factor * np.repeat(H.degree_array.astype(float), r)
 
         def product_apply(w):
             return kronecker_adjacency_apply(H, w)

@@ -28,7 +28,7 @@ def degree_power_mean_bound(H: UniformHypergraph) -> float:
     """((1/n) sum_i d_i^(r/(r-1)))^((r-1)/r), a lower bound on the adjacency
     spectral radius.  For r=2 this is the classical sum-of-squares bound."""
     p = H.r / (H.r - 1)
-    d = np.array(H.degrees(), dtype=float)
+    d = H.degree_array.astype(float)
     return float((np.sum(d**p) / H.n) ** (1.0 / p))
 
 
@@ -52,7 +52,7 @@ def optimal_weights(H: UniformHypergraph) -> np.ndarray:
     if H.num_edges == 0:
         raise ValueError("weights are undefined without edges (all degrees zero)")
     r = H.r
-    d = np.array(H.degrees(), dtype=float)
+    d = H.degree_array.astype(float)
     s = float(np.sum(d ** (r / (r - 1))))
     return H.n ** (1.0 / r) * d ** (1.0 / (r - 1)) / s ** (1.0 / r)
 

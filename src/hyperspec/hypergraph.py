@@ -10,9 +10,11 @@ import json
 import math
 import random
 import warnings
-from collections import deque
 from dataclasses import dataclass
-from itertools import combinations
+from functools import cached_property
+from itertools import chain, combinations
+
+import numpy as np
 
 from .errors import CapacityError, FormatError
 
@@ -20,58 +22,183 @@ from .errors import CapacityError, FormatError
 ODD_COLORING_CAP = 12
 
 
-@dataclass(frozen=True)
+def _as_int(value) -> int:
+    """``value`` as an int.  Unlike ``int()``, this refuses booleans and
+    numbers with a fractional part instead of truncating them; every refusal
+    raises ValueError."""
+    if not isinstance(value, (bool, np.bool_)):
+        try:
+            k = int(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+        else:
+            if isinstance(value, str) or k == value:
+                return k
+    raise ValueError(f"{value!r} is not an integer")
+
+
+def _id_matrix(rows, r: int) -> np.ndarray | None:
+    """The rows as an (m, r) intp array in input order, or None when some
+    row does not hold exactly r integers that fit in an intp."""
+    if isinstance(rows, np.ndarray):
+        if rows.ndim == 2 and rows.shape[1] == r and rows.dtype.kind in "iu":
+            return rows.astype(np.intp, copy=False)
+        rows = rows.tolist()
+    if np.any(np.fromiter(map(len, rows), np.intp, len(rows)) != r):
+        return None
+    flat = list(chain.from_iterable(rows))
+    kinds = set(map(type, flat))
+    values = flat if kinds <= {int} else map(int if kinds == {str} else _as_int, flat)
+    try:
+        return np.fromiter(values, np.intp, len(flat)).reshape(len(rows), r)
+    except (TypeError, ValueError, OverflowError):
+        return None
+
+
+def _is_canonical(edges: np.ndarray) -> bool:
+    """True iff every row strictly increases and the rows strictly increase
+    in lexicographic order."""
+    if not np.all(edges[:, 1:] > edges[:, :-1]):
+        return False
+    prev, nxt = edges[:-1], edges[1:]
+    differ = prev != nxt
+    col = differ.argmax(axis=1)
+    k = np.arange(len(col))
+    return bool(np.all(differ[k, col]) and np.all(nxt[k, col] > prev[k, col]))
+
+
+def _unique_rows(sorted_rows: np.ndarray) -> np.ndarray:
+    """Rows whose entries are already sorted, deduplicated and put in
+    lexicographic order."""
+    rows = sorted_rows[np.lexsort(sorted_rows.T[::-1])]
+    keep = np.ones(len(rows), dtype=bool)
+    keep[1:] = np.any(rows[1:] != rows[:-1], axis=1)
+    return rows[keep]
+
+
+def _component_labels(n: int, edges: np.ndarray) -> np.ndarray:
+    """Label every vertex with the smallest vertex of its component.
+
+    Hook-and-shortcut labelling in the style of Shiloach & Vishkin
+    (J. Algorithms 1982).  A label is always a vertex of the same component
+    and never larger than the vertex it labels.  Each round hooks the root
+    of every edge vertex to the smallest root on the edge, then pointer
+    jumping points every vertex at its root.  Once every edge sees a single
+    root, each component's smallest vertex is its own root and labels it all.
+    """
+    label = np.arange(n)
+    while True:
+        roots = label[edges]
+        low = roots.min(axis=1)
+        if np.all(roots == low[:, None]):
+            return label
+        np.minimum.at(label, roots.ravel(), np.repeat(low, edges.shape[1]))
+        while True:
+            jumped = label[label]
+            if np.array_equal(jumped, label):
+                break
+            label = jumped
+
+
 class UniformHypergraph:
     """An r-uniform hypergraph on vertices ``{0, ..., n-1}``.
 
-    Edges are canonical: each edge is a sorted tuple of r distinct vertex
-    ids, and the edge list is deduplicated and sorted lexicographically.
-    Instances are immutable and safe to share across threads.
+    ``edge_array`` holds the edges as one read-only, C-contiguous (m, r)
+    intp array in canonical form: each row is sorted ascending, and the
+    rows are distinct and in lexicographic order.  ``edges`` is the same
+    list as a tuple of tuples, built on first access.  Instances are
+    immutable, so degrees and connectivity are computed once and cached;
+    equality and hashing are by value over ``(n, r, edges)``.  Instances
+    are safe to share across threads.
+
+    The constructor takes any iterable of r-sequences of integers, or an
+    integer array; rows may come in any order and repeat.
     """
 
-    n: int
-    r: int
-    edges: tuple[tuple[int, ...], ...] = ()
+    def __init__(self, n: int, r: int, edges=()) -> None:
+        self.__post_init__(n, r, edges)
 
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"vertex count must be positive, got {self.n}")
-        if self.r < 2:
-            raise ValueError(f"uniformity must be at least 2, got {self.r}")
-        canon = set()
-        for edge in self.edges:
-            t = tuple(sorted(int(v) for v in edge))
-            if len(t) != self.r or len(set(t)) != self.r:
-                raise ValueError(
-                    f"edge {tuple(edge)} must contain exactly {self.r} distinct vertices"
-                )
-            if t[0] < 0 or t[-1] >= self.n:
-                raise ValueError(f"edge {tuple(edge)} has a vertex outside 0..{self.n - 1}")
-            canon.add(t)
-        object.__setattr__(self, "edges", tuple(sorted(canon)))
+    def __post_init__(self, n, r, edges) -> None:
+        # construction lives here, under the name the traced benchmark times
+        try:
+            n, r = _as_int(n), _as_int(r)
+        except ValueError:
+            raise ValueError(
+                f"vertex count and uniformity must be integers, got {n!r} and {r!r}"
+            ) from None
+        if n < 1:
+            raise ValueError(f"vertex count must be positive, got {n}")
+        if r < 2:
+            raise ValueError(f"uniformity must be at least 2, got {r}")
+        if not isinstance(edges, (np.ndarray, list, tuple)):
+            edges = list(edges)
+        ids = _id_matrix(edges, r)
+        if ids is None or (len(ids) and (ids.min() < 0 or ids.max() >= n)):
+            raise _edge_error(edges, n, r)
+        if not _is_canonical(ids):
+            ids = np.sort(ids, axis=1)
+            if np.any(ids[:, 1:] == ids[:, :-1]):
+                raise _edge_error(edges, n, r)
+            ids = _unique_rows(ids)
+        ids = np.array(ids, dtype=np.intp, order="C")
+        ids.setflags(write=False)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "edge_array", ids)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"UniformHypergraph is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"UniformHypergraph is immutable; cannot delete {name!r}")
+
+    def __eq__(self, other):
+        if not isinstance(other, UniformHypergraph):
+            return NotImplemented
+        return (self.n, self.r) == (other.n, other.r) and np.array_equal(
+            self.edge_array, other.edge_array
+        )
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __repr__(self) -> str:
+        return f"UniformHypergraph(n={self.n}, r={self.r}, edges={self.edges!r})"
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.n, self.r, self.edge_array.tobytes()))
+
+    @cached_property
+    def edges(self) -> tuple[tuple[int, ...], ...]:
+        """The canonical edges as sorted tuples, in lexicographic order."""
+        return tuple(map(tuple, self.edge_array.tolist()))
 
     @property
     def num_edges(self) -> int:
-        return len(self.edges)
+        return len(self.edge_array)
+
+    @cached_property
+    def degree_array(self) -> np.ndarray:
+        """Read-only per-vertex edge counts (``np.bincount`` of the edges)."""
+        deg = np.bincount(self.edge_array.ravel(), minlength=self.n)
+        deg.setflags(write=False)
+        return deg
 
     def degrees(self) -> tuple[int, ...]:
         """Per-vertex edge counts; their sum equals r times the edge count."""
-        d = [0] * self.n
-        for edge in self.edges:
-            for v in edge:
-                d[v] += 1
-        return tuple(d)
+        return tuple(self.degree_array.tolist())
 
     def is_regular(self) -> bool:
         """True iff all vertex degrees are equal (vacuously true without edges)."""
-        return len(set(self.degrees())) <= 1
+        deg = self.degree_array
+        return bool(deg.min() == deg.max())
 
-    def _neighbor_sets(self) -> list[set[int]]:
-        nbrs: list[set[int]] = [set() for _ in range(self.n)]
-        for edge in self.edges:
-            for v in edge:
-                nbrs[v].update(edge)
-        return nbrs
+    @cached_property
+    def _labels(self) -> np.ndarray:
+        labels = _component_labels(self.n, self.edge_array)
+        labels.setflags(write=False)
+        return labels
 
     def is_connected(self) -> bool:
         """True iff every pair of vertices is joined by a walk.
@@ -79,49 +206,39 @@ class UniformHypergraph:
         A single vertex is connected; any isolated vertex with n >= 2 makes
         the hypergraph disconnected.
         """
-        if self.n == 1:
-            return True
-        nbrs = self._neighbor_sets()
-        seen = {0}
-        queue = deque([0])
-        while queue:
-            v = queue.popleft()
-            for u in nbrs[v]:
-                if u not in seen:
-                    seen.add(u)
-                    queue.append(u)
-        return len(seen) == self.n
+        return not self._labels.any()
 
     def components(self) -> list[Component]:
         """Split into maximal connected pieces, ordered by smallest vertex id.
 
         Each component relabels its vertices to ``0..k-1`` preserving the
         original order; ``Component.vertices[new_id]`` recovers the original
-        id.  Components partition both the vertex set and the edge set.
+        id.  Components partition both the vertex set and the edge set, and
+        each keeps its edges in canonical order.  All isolated vertices
+        share one edgeless one-vertex graph.
         """
-        nbrs = self._neighbor_sets()
-        seen = [False] * self.n
+        labels = self._labels
+        # vertices grouped by component, ascending inside each
+        order = np.argsort(labels, kind="stable")
+        grouped = labels[order]
+        starts = np.flatnonzero(np.r_[True, grouped[1:] != grouped[:-1]])
+        sizes = np.diff(np.r_[starts, self.n])
+        new_id = np.empty(self.n, dtype=np.intp)
+        new_id[order] = np.arange(self.n) - np.repeat(starts, sizes)
+        # a stable sort by component keeps each component's edges canonical
+        edge_comp = np.searchsorted(grouped[starts], labels[self.edge_array[:, 0]])
+        edge_order = np.argsort(edge_comp, kind="stable")
+        local = new_id[self.edge_array[edge_order]]
+        edge_ends = np.cumsum(np.bincount(edge_comp, minlength=len(starts))).tolist()
+        vertices = order.tolist()
+        isolated = UniformHypergraph(1, self.r) if np.any(sizes == 1) else None
         out: list[Component] = []
-        for root in range(self.n):
-            if seen[root]:
-                continue
-            seen[root] = True
-            group = [root]
-            queue = deque([root])
-            while queue:
-                v = queue.popleft()
-                for u in nbrs[v]:
-                    if not seen[u]:
-                        seen[u] = True
-                        group.append(u)
-                        queue.append(u)
-            group.sort()
-            relabel = {old: new for new, old in enumerate(group)}
-            members = set(group)
-            edges = tuple(
-                tuple(relabel[v] for v in edge) for edge in self.edges if edge[0] in members
-            )
-            out.append(Component(UniformHypergraph(len(group), self.r, edges), tuple(group)))
+        lo_v = lo_e = 0
+        for hi_v, hi_e in zip(np.r_[starts[1:], self.n].tolist(), edge_ends):
+            graph = (isolated if hi_v - lo_v == 1
+                     else UniformHypergraph(hi_v - lo_v, self.r, local[lo_e:hi_e]))
+            out.append(Component(graph, tuple(vertices[lo_v:hi_v])))
+            lo_v, lo_e = hi_v, hi_e
         return out
 
 
@@ -133,29 +250,58 @@ class Component:
     vertices: tuple[int, ...]
 
 
+def _edge_error(rows, n: int, r: int) -> ValueError:
+    """The error for the first row, in input order, that is not an edge of
+    an r-uniform hypergraph on 0..n-1."""
+    if isinstance(rows, np.ndarray):
+        rows = rows.tolist()
+    for edge in rows:
+        try:
+            ids = [_as_int(v) for v in edge]
+        except ValueError:
+            return ValueError(f"edge {tuple(edge)} holds a non-integer vertex id")
+        if len(ids) != r or len(set(ids)) != r:
+            return ValueError(f"edge {tuple(edge)} must contain exactly {r} distinct vertices")
+        if min(ids) < 0 or max(ids) >= n:
+            return ValueError(f"edge {tuple(edge)} has a vertex outside 0..{n - 1}")
+    return ValueError(f"vertex ids must fit in {np.dtype(np.intp).itemsize * 8}-bit integers")
+
+
 # ---------------------------------------------------------------------------
 # External formats.  Text: header "n r", one edge per line, 1-based ids,
 # '#' comments.  JSON mirror: {"n": ..., "r": ..., "edges": [[...], ...]}.
 # ---------------------------------------------------------------------------
 
 
-def _canonical_edges(raw_edges, n: int, r: int) -> tuple[tuple[tuple[int, ...], ...], int]:
-    """Validate 1-based edge lists, returning 0-based edges and a dup count."""
-    edges = []
-    for verts in raw_edges:
+def _row_error(rows, n: int, r: int) -> FormatError:
+    """The error for the first row, in input order, that is not a valid
+    1-based edge; the checks run in the order the messages are listed."""
+    for verts in rows:
         if len(verts) != r:
-            raise FormatError(f"edge {list(verts)} must list exactly {r} vertices")
+            return FormatError(f"edge {list(verts)} must list exactly {r} vertices")
         try:
-            ids = [int(v) for v in verts]
-        except (TypeError, ValueError):
-            raise FormatError(f"edge {list(verts)} holds a non-integer vertex id") from None
+            ids = [_as_int(v) for v in verts]
+        except ValueError:
+            return FormatError(f"edge {list(verts)} holds a non-integer vertex id")
         if any(v < 1 or v > n for v in ids):
-            raise FormatError(f"edge {ids} has a vertex outside 1..{n}")
+            return FormatError(f"edge {ids} has a vertex outside 1..{n}")
         if len(set(ids)) != r:
-            raise FormatError(f"edge {ids} repeats a vertex")
-        edges.append(tuple(sorted(v - 1 for v in ids)))
-    unique = set(edges)
-    return tuple(unique), len(edges) - len(unique)
+            return FormatError(f"edge {ids} repeats a vertex")
+    return FormatError(f"vertex ids must fit in {np.dtype(np.intp).itemsize * 8}-bit integers")
+
+
+def _from_rows(rows, n: int, r: int) -> tuple[UniformHypergraph, int]:
+    """The hypergraph on 1-based edge rows, and the number of duplicate rows
+    it dropped.  The constructor's vectorized checks find whether a row is
+    bad; only then does a scan find the first one."""
+    ids = _id_matrix(rows, r)
+    try:
+        if ids is None:
+            raise ValueError
+        H = UniformHypergraph(n, r, ids - 1)
+    except ValueError:
+        raise _row_error(rows, n, r) from None
+    return H, len(rows) - H.num_edges
 
 
 def parse_hypergraph(text: str) -> UniformHypergraph:
@@ -164,11 +310,8 @@ def parse_hypergraph(text: str) -> UniformHypergraph:
     Duplicate edges are dropped with a warning reporting how many were
     removed.
     """
-    rows = []
-    for raw in text.splitlines():
-        line = raw.strip()
-        if line and not line.startswith("#"):
-            rows.append(line)
+    rows = [line for line in map(str.strip, text.splitlines())
+            if line and not line.startswith("#")]
     if not rows:
         raise FormatError("empty input: missing 'n r' header line")
     head = rows[0].split()
@@ -180,10 +323,10 @@ def parse_hypergraph(text: str) -> UniformHypergraph:
         raise FormatError(f"header must hold two integers, got {rows[0]!r}") from None
     if n < 1 or r < 2:
         raise FormatError(f"header needs n >= 1 and r >= 2, got n={n} r={r}")
-    edges, dups = _canonical_edges([line.split() for line in rows[1:]], n, r)
+    H, dups = _from_rows(list(map(str.split, rows[1:])), n, r)
     if dups:
         warnings.warn(f"dropped {dups} duplicate edge(s)", stacklevel=2)
-    return UniformHypergraph(n, r, edges)
+    return H
 
 
 def render_hypergraph(H: UniformHypergraph) -> str:
@@ -202,15 +345,15 @@ def hypergraph_from_json(text: str) -> UniformHypergraph:
     if not isinstance(obj, dict) or not {"n", "r", "edges"} <= set(obj):
         raise FormatError("JSON hypergraph needs fields 'n', 'r', 'edges'")
     try:
-        n, r = int(obj["n"]), int(obj["r"])
-    except (TypeError, ValueError):
+        n, r = _as_int(obj["n"]), _as_int(obj["r"])
+    except ValueError:
         raise FormatError("fields 'n' and 'r' must be integers") from None
     if n < 1 or r < 2:
         raise FormatError(f"need n >= 1 and r >= 2, got n={n} r={r}")
-    edges, dups = _canonical_edges(obj["edges"], n, r)
+    H, dups = _from_rows(obj["edges"], n, r)
     if dups:
         warnings.warn(f"dropped {dups} duplicate edge(s)", stacklevel=2)
-    return UniformHypergraph(n, r, edges)
+    return H
 
 
 def hypergraph_to_json(H: UniformHypergraph) -> str:

@@ -18,6 +18,7 @@ iteration, and the bracket always comes from the ratios at the iterate.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -64,6 +65,8 @@ class SolverConfig:
             raise ValueError(f"max_iterations must be at least 1, got {self.max_iterations}")
         if self.shift is not None and self.shift < 0:
             raise ValueError(f"shift must be nonnegative, got {self.shift}")
+        if self.shift is not None and not math.isfinite(self.shift):
+            raise ValueError(f"shift must be finite, got {self.shift}")
 
     def to_json(self) -> dict:
         return {
@@ -249,7 +252,9 @@ def spectral_radius(H: UniformHypergraph, kind: str = ADJACENCY,
     dimension (zeros elsewhere); ties go to the lowest-indexed component.
     The bracket is the largest component lower and upper bound, which
     encloses the maximum of the component radii even when the winner's
-    bracket does not.  Isolated vertices contribute 0.
+    bracket does not.  Isolated vertices contribute 0 without a solve: their
+    pair is what :func:`power_iterate` returns on a one-vertex edgeless
+    graph (value 0, bracket [0, 0], one iteration, vector [1]).
     """
     kind = _resolve_kind(kind)
     cfg = cfg or SolverConfig()
@@ -260,8 +265,13 @@ def spectral_radius(H: UniformHypergraph, kind: str = ADJACENCY,
     total_iterations = 0
     all_converged = True
     lower = upper = float("-inf")
+    isolated = EigenPair(value=0.0, vector=np.ones(1), residual=0.0, iterations=1,
+                         lower=0.0, upper=0.0, converged=True)
     for comp in H.components():
-        pair = power_iterate(TensorOperator.for_hypergraph(comp.graph, kind), cfg)
+        if comp.graph.num_edges == 0:
+            pair = isolated
+        else:
+            pair = power_iterate(TensorOperator.for_hypergraph(comp.graph, kind), cfg)
         total_iterations += pair.iterations
         all_converged = all_converged and pair.converged
         lower = max(lower, pair.lower)

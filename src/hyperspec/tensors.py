@@ -170,9 +170,9 @@ class TensorOperator:
             self.tensor = None
             self.order = hypergraph.r
             self.dim = hypergraph.n
-            edges = hypergraph.edges
-            self._edges = np.array(edges, dtype=np.intp).reshape(len(edges), hypergraph.r)
-            self._deg = np.array(hypergraph.degrees(), dtype=float)
+            # the hypergraph's own read-only edge array, not a copy
+            self._edges = hypergraph.edge_array
+            self._deg = hypergraph.degree_array.astype(float)
         elif kind == DENSE:
             if tensor is None:
                 raise ValueError("dense kind needs a DenseTensor")
@@ -231,18 +231,29 @@ class TensorOperator:
 
     @staticmethod
     def _prefix_suffix(gathered: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Per edge row, the products of the entries left and right of each slot."""
-        lo = np.ones_like(gathered)
-        np.cumprod(gathered[:, :-1], axis=1, out=lo[:, 1:])
-        hi = np.ones_like(gathered)
-        hi[:, :-1] = np.cumprod(gathered[:, :0:-1], axis=1)[:, ::-1]
+        """Per edge row, the products of the entries left and right of each slot.
+
+        Built one column at a time, multiplying in the order of a running
+        product (left to right for ``lo``, right to left for ``hi``), so every
+        entry rounds exactly as a cumulative product would round it.
+        """
+        lo = np.empty_like(gathered)
+        hi = np.empty_like(gathered)
+        r = gathered.shape[1]
+        lo[:, 0] = 1.0
+        hi[:, r - 1] = 1.0
+        for p in range(1, r):
+            np.multiply(lo[:, p - 1], gathered[:, p - 1], out=lo[:, p])
+            q = r - 1 - p
+            np.multiply(hi[:, q + 1], gathered[:, q + 1], out=hi[:, q])
         return lo, hi
 
     def _apply_adjacency(self, x: np.ndarray) -> np.ndarray:
         if self._edges.shape[0] == 0:
             return np.zeros(self.dim)
         lo, hi = self._prefix_suffix(x[self._edges])
-        return self._edge_sum(lo * hi)
+        lo *= hi
+        return self._edge_sum(lo)
 
     def apply(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)

@@ -8,11 +8,12 @@ independent.
 
 import math
 import random
+from collections import deque
 from itertools import combinations, permutations
 
 import numpy as np
 
-from hyperspec import UniformHypergraph, random_hypergraph
+from hyperspec import FormatError, UniformHypergraph, random_hypergraph
 
 
 def dense_adjacency(H):
@@ -119,3 +120,111 @@ def sweep_instances(count=200, seed=20260809):
         if H.is_connected():
             out.append(H)
     return out
+
+
+# ---------------------------------------------------------------------------
+# The tuple-based hypergraph core that the array core replaced.  Edges are
+# tuples of Python ints; every function takes (n, r, edges) explicitly.
+# ---------------------------------------------------------------------------
+
+
+def canonical_edges(n, r, edges):
+    """Sorted, deduplicated, lexicographically ordered edge tuples; raises
+    the constructor's ValueError for the first bad edge in input order."""
+    canon = set()
+    for edge in edges:
+        t = tuple(sorted(int(v) for v in edge))
+        if len(t) != r or len(set(t)) != r:
+            raise ValueError(f"edge {tuple(edge)} must contain exactly {r} distinct vertices")
+        if t[0] < 0 or t[-1] >= n:
+            raise ValueError(f"edge {tuple(edge)} has a vertex outside 0..{n - 1}")
+        canon.add(t)
+    return tuple(sorted(canon))
+
+
+def degrees(n, edges):
+    d = [0] * n
+    for edge in edges:
+        for v in edge:
+            d[v] += 1
+    return tuple(d)
+
+
+def _neighbor_sets(n, edges):
+    nbrs = [set() for _ in range(n)]
+    for edge in edges:
+        for v in edge:
+            nbrs[v].update(edge)
+    return nbrs
+
+
+def is_connected(n, edges):
+    """Breadth-first search from vertex 0."""
+    if n == 1:
+        return True
+    nbrs = _neighbor_sets(n, edges)
+    seen = {0}
+    queue = deque([0])
+    while queue:
+        v = queue.popleft()
+        for u in nbrs[v]:
+            if u not in seen:
+                seen.add(u)
+                queue.append(u)
+    return len(seen) == n
+
+
+def components(n, edges):
+    """(vertices, relabelled canonical edges) per component, ordered by
+    smallest vertex; edges are canonical input."""
+    nbrs = _neighbor_sets(n, edges)
+    seen = [False] * n
+    out = []
+    for root in range(n):
+        if seen[root]:
+            continue
+        seen[root] = True
+        group = [root]
+        queue = deque([root])
+        while queue:
+            v = queue.popleft()
+            for u in nbrs[v]:
+                if not seen[u]:
+                    seen[u] = True
+                    group.append(u)
+                    queue.append(u)
+        group.sort()
+        relabel = {old: new for new, old in enumerate(group)}
+        members = set(group)
+        local = tuple(tuple(relabel[v] for v in edge) for edge in edges if edge[0] in members)
+        out.append((tuple(group), local))
+    return out
+
+
+def parse_rows(raw_edges, n, r):
+    """Validate 1-based edge rows as the parsers did: the FormatError for
+    the first bad row, or (canonical 0-based edges, duplicate count)."""
+    edges = []
+    for verts in raw_edges:
+        if len(verts) != r:
+            raise FormatError(f"edge {list(verts)} must list exactly {r} vertices")
+        try:
+            ids = [int(v) for v in verts]
+        except (TypeError, ValueError):
+            raise FormatError(f"edge {list(verts)} holds a non-integer vertex id") from None
+        if any(v < 1 or v > n for v in ids):
+            raise FormatError(f"edge {ids} has a vertex outside 1..{n}")
+        if len(set(ids)) != r:
+            raise FormatError(f"edge {ids} repeats a vertex")
+        edges.append(tuple(sorted(v - 1 for v in ids)))
+    unique = set(edges)
+    return tuple(sorted(unique)), len(edges) - len(unique)
+
+
+def prefix_suffix_cumprod(gathered):
+    """Per edge row, the products left and right of each slot, by cumprod."""
+    lo = np.ones_like(gathered)
+    np.cumprod(gathered[:, :-1], axis=1, out=lo[:, 1:])
+    hi = np.ones_like(gathered)
+    hi[:, :-1] = np.cumprod(gathered[:, :0:-1], axis=1)[:, ::-1]
+    return lo, hi
