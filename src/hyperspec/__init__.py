@@ -52,7 +52,6 @@ from .tensors import (
     eigen_residual,
     kron_vector,
     rayleigh,
-    unit_tensor,
 )
 
 __version__ = "0.1.0"

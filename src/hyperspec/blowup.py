@@ -23,9 +23,7 @@ from .hypergraph import UniformHypergraph
 from .solver import EigenPair, SolverConfig, spectral_radius
 from .tensors import (
     ADJACENCY,
-    DEGREE_DIAGONAL,
     SIGNLESS_LAPLACIAN,
-    DenseTensor,
     TensorOperator,
     dense_tensor_of,
     direct_product,
@@ -33,7 +31,6 @@ from .tensors import (
     eigen_residual,
     kron_vector,
     rayleigh,
-    unit_tensor,
 )
 
 BLOWUP_VERTEX_CAP = 20_000
@@ -59,12 +56,6 @@ class BlowupHypergraph:
 
     base: UniformHypergraph
     tilde: UniformHypergraph
-
-    def flat_index(self, i: int, j: int) -> int:
-        return i * self.base.r + j
-
-    def pair_of(self, flat: int) -> tuple[int, int]:
-        return divmod(flat, self.base.r)
 
     def vertex_map(self) -> list[tuple[int, int, int]]:
         """All (base vertex, label, flat index) triples, 0-based."""
@@ -100,30 +91,45 @@ def kronecker_adjacency_apply(H: UniformHypergraph, w) -> np.ndarray:
     """Apply the product (base adjacency x all-distinct-labels) to w.
 
     Evaluated straight from the product's entry rule, without constructing
-    the blow-up: component (i, j) sums, over base edges through i and over
-    bijections from the remaining edge vertices onto the remaining labels,
-    the product of the matching entries of w.
+    the blow-up: with W the vector w as an (n, r) array, component (i, j)
+    sums, over base edges e through i, the permanent of W[e, :] with the
+    row of i and the column of label j removed.  All these minors are
+    expanded together, one row at a time, keeping for every label set T the
+    sum over the ways to hand the rows expanded so far the labels of T.
+    Every term is a product of entries of w, so, unlike Ryser's
+    inclusion-exclusion formula, nothing cancels that the entry rule itself
+    does not cancel.  Time is O(m r^2 2^r) and memory O(m r 2^r).
     """
-    r = H.r
+    r, n = H.r, H.n
     w = np.asarray(w, dtype=float)
-    if w.shape != (r * H.n,):
-        raise ValueError(f"vector dimension {w.shape} does not match {r * H.n}")
-    W = w.reshape(H.n, r)
-    out = np.zeros(r * H.n)
-    labels = range(r)
-    for edge in H.edges:
-        for pos, i in enumerate(edge):
-            rest = edge[:pos] + edge[pos + 1 :]
-            for j in labels:
-                other_labels = [l for l in labels if l != j]
-                total = 0.0
-                for assigned in permutations(other_labels):
-                    prod = 1.0
-                    for v, l in zip(rest, assigned):
-                        prod *= W[v, l]
-                    total += prod
-                out[i * r + j] += total
-    return out
+    if w.shape != (r * n,):
+        raise ValueError(f"vector dimension {w.shape} does not match {r * n}")
+    edges = H.edge_array
+    full = (1 << r) - 1
+    # minors[e, p] is W[e, :] without the row of edge position p
+    rest = np.array([[q for q in range(r) if q != p] for p in range(r)])
+    minors = w.reshape(n, r)[edges[:, rest]]
+    sets = np.arange(full + 1)
+    sizes = np.array([bin(t).count("1") for t in range(full + 1)])
+    # after k rows, expansion[e, p, T] is the permanent of the first k rows
+    # of minors[e, p] on the k labels of T
+    expansion = np.zeros((len(edges), r, full + 1))
+    expansion[:, :, 0] = 1.0
+    for k in range(r - 1):
+        step = np.zeros_like(expansion)
+        for label in range(r):
+            bit = 1 << label
+            with_label = sets[(sets & bit != 0) & (sizes == k + 1)]
+            step[:, :, with_label] += (
+                expansion[:, :, with_label ^ bit] * minors[:, :, k, label, None]
+            )
+        expansion = step
+    # the sets that miss exactly one label j hold the permanents for j
+    permanents = expansion[:, :, full ^ (1 << np.arange(r))]
+    out = np.empty((n, r))
+    for j in range(r):
+        out[:, j] = np.bincount(edges.ravel(), weights=permanents[:, :, j].ravel(), minlength=n)
+    return out.ravel()
 
 
 @dataclass
@@ -150,15 +156,18 @@ def _identity_trials(H, tilde, trials, seed, rtol) -> tuple[ProductIdentityCheck
 
     Its adjacency must equal the product (base adjacency) x (all-distinct
     labels), and its signless Laplacian (r-1)! (degree x unit) plus that
-    product, so the product side is applied once per vector.  Returns the
-    product check, then whether the signless Laplacian identity held and
-    its worst error up to its first failure.  The loop ends early only once
-    both have failed.
+    product, so each trial applies the product once, through
+    :func:`kronecker_adjacency_apply`; the degree term is diagonal, so it is
+    applied as a vector.  Below ``DENSE_CHECK_BUDGET`` entries the product
+    is also materialized and compared with the blow-up entry by entry.
+    Returns the product check, then whether the signless Laplacian identity
+    held and its worst error up to its first failure.  The loop ends early
+    only once both have failed.
     """
     r, rn = H.r, tilde.n
-    factor = float(math.factorial(r - 1))
     lhs_adjacency = TensorOperator.adjacency(tilde)
     lhs_signless = TensorOperator.signless_laplacian(tilde)
+    scaled_deg = math.factorial(r - 1) * np.repeat(H.degree_array.astype(float), r)
     entrywise_checked = rn**r <= DENSE_CHECK_BUDGET
     entrywise_ok = True
     if entrywise_checked:
@@ -167,39 +176,25 @@ def _identity_trials(H, tilde, trials, seed, rtol) -> tuple[ProductIdentityCheck
             distinct_index_tensor(r, dim_cap=r),
             dim_cap=rn,
         )
-        degree_term = factor * direct_product(
-            dense_tensor_of(H, DEGREE_DIAGONAL, dim_cap=H.n),
-            unit_tensor(r, r, dim_cap=r),
-            dim_cap=rn,
-        )
-        product_apply, degree_apply = product.apply, degree_term.apply
         tilde_dense = dense_tensor_of(tilde, ADJACENCY, dim_cap=rn)
         entrywise_ok = bool(
             np.allclose(tilde_dense.entries, product.entries, rtol=0.0, atol=1e-12)
         )
-    else:
-        scaled_deg = factor * np.repeat(H.degree_array.astype(float), r)
-
-        def product_apply(w):
-            return kronecker_adjacency_apply(H, w)
-
-        def degree_apply(w):
-            return scaled_deg * w ** (r - 1)
-
     rng = np.random.default_rng(seed)
     product_worst = apply_worst = 0.0
     witness = None
     apply_ok = True
     for _ in range(trials):
         w = rng.standard_normal(rn)
-        product_w = product_apply(w)
+        product_w = kronecker_adjacency_apply(H, w)
         if witness is None:
             err = _relative_max_error(lhs_adjacency.apply(w), product_w)
             product_worst = max(product_worst, err)
             if err > rtol:
                 witness = w
         if apply_ok:
-            err = _relative_max_error(lhs_signless.apply(w), degree_apply(w) + product_w)
+            degree_w = scaled_deg * w ** (r - 1)
+            err = _relative_max_error(lhs_signless.apply(w), degree_w + product_w)
             apply_worst = max(apply_worst, err)
             if apply_worst > rtol:
                 apply_ok = False

@@ -17,7 +17,6 @@ from .solver import EigenPair, SolverConfig, spectral_radius
 from .tensors import ADJACENCY, SIGNLESS_LAPLACIAN
 
 AVERAGE_DEGREE = "average-degree"
-HOFMEISTER_R2 = "hofmeister-r2"
 
 #: Equality is declared when |rho - bound| falls within this multiple of the
 #: solver tolerance; strict gaps at desk scale sit far above it.
@@ -160,8 +159,6 @@ def verify_bounds(H: UniformHypergraph, cfg: SolverConfig | None = None) -> list
     if connected and pm < avg - 1e-12:
         # power-mean dominance is an identity; a violation is a bug
         reports[2].consistent = False
-    if H.r == 2:
-        reports.append(build(HOFMEISTER_R2, pm, pair_a, False))
     return reports
 
 
@@ -169,3 +166,16 @@ def bounds_hold(reports: list[BoundReport], tolerance: float) -> bool:
     """The bound gate: every report is consistent, and no radius falls below
     its bound by more than the solver tolerance (plus 1e-9 of slack)."""
     return all(rep.consistent and rep.gap >= -(tolerance + 1e-9) for rep in reports)
+
+
+def dominance_holds(reports: list[BoundReport]) -> bool:
+    """The dominance gate: the power-mean bound is at least the average
+    degree, with equality exactly on regular hypergraphs, and the adjacency
+    radius is at least the average degree (up to 1e-8)."""
+    by_kind = {rep.kind: rep for rep in reports}
+    pm, avg = by_kind[ADJACENCY], by_kind[AVERAGE_DEGREE]
+    return (
+        pm.bound >= avg.bound - 1e-12
+        and (abs(pm.bound - avg.bound) <= 1e-9) == pm.regular
+        and pm.rho >= avg.bound - 1e-8
+    )

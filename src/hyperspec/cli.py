@@ -14,7 +14,7 @@ import time
 from pathlib import Path
 
 from .blowup import blowup, verify_blowup
-from .bounds import bounds_hold, verify_bounds
+from .bounds import bounds_hold, dominance_holds, verify_bounds
 from .errors import CapacityError, FormatError
 from .hypergraph import (
     ODD_COLORING_CAP,
@@ -196,13 +196,8 @@ def _instance_checks(name: str, H: UniformHypergraph, cfg: SolverConfig) -> list
     bounds_ok = all(rep.converged for rep in reports) and bounds_hold(reports, cfg.tolerance)
     rows.append((name, "bounds", bounds_ok,
                  f"gapA={reports[0].gap:.3e} gapQ={reports[1].gap:.3e}"))
-    pm, avg = reports[0].bound, reports[2].bound
-    dominance_ok = (
-        pm >= avg - 1e-12
-        and (abs(pm - avg) <= 1e-9) == H.is_regular()
-        and reports[0].rho >= avg - 1e-8
-    )
-    rows.append((name, "dominance", dominance_ok, f"pm={pm:.6g} avg={avg:.6g}"))
+    rows.append((name, "dominance", dominance_holds(reports),
+                 f"pm={reports[0].bound:.6g} avg={reports[2].bound:.6g}"))
     if H.r * H.n <= 60 and math.factorial(H.r) * H.num_edges <= 2000:
         base_pairs = {rep.kind: rep.pair for rep in reports[:2]}
         verification = verify_blowup(H, cfg, base_pairs=base_pairs)

@@ -37,6 +37,12 @@ def _as_int(value) -> int:
     raise ValueError(f"{value!r} is not an integer")
 
 
+def _not_a_row(row) -> bool:
+    """True iff ``row`` is a string or bytes, or is not a sequence, so that
+    it cannot be read as one edge."""
+    return isinstance(row, (str, bytes)) or not hasattr(row, "__len__")
+
+
 def _id_matrix(rows, r: int) -> np.ndarray | None:
     """The rows as an (m, r) intp array in input order, or None when some
     row does not hold exactly r integers that fit in an intp."""
@@ -132,6 +138,10 @@ class UniformHypergraph:
             raise ValueError(f"uniformity must be at least 2, got {r}")
         if not isinstance(edges, (np.ndarray, list, tuple)):
             edges = list(edges)
+        if not isinstance(edges, np.ndarray) and not set(map(type, edges)) <= {tuple, list}:
+            # a string row would otherwise be read digit by digit
+            if any(map(_not_a_row, edges)):
+                raise _edge_error(edges, n, r)
         ids = _id_matrix(edges, r)
         if ids is None or (len(ids) and (ids.min() < 0 or ids.max() >= n)):
             raise _edge_error(edges, n, r)
@@ -256,6 +266,8 @@ def _edge_error(rows, n: int, r: int) -> ValueError:
     if isinstance(rows, np.ndarray):
         rows = rows.tolist()
     for edge in rows:
+        if _not_a_row(edge):
+            return ValueError(f"edge {edge!r} must contain exactly {r} distinct vertices")
         try:
             ids = [_as_int(v) for v in edge]
         except ValueError:
@@ -350,7 +362,13 @@ def hypergraph_from_json(text: str) -> UniformHypergraph:
         raise FormatError("fields 'n' and 'r' must be integers") from None
     if n < 1 or r < 2:
         raise FormatError(f"need n >= 1 and r >= 2, got n={n} r={r}")
-    H, dups = _from_rows(obj["edges"], n, r)
+    rows = obj["edges"]
+    if not isinstance(rows, list):
+        raise FormatError("field 'edges' must be an array of edges")
+    if not set(map(type, rows)) <= {list}:
+        bad = next(row for row in rows if not isinstance(row, list))
+        raise FormatError(f"edge {json.dumps(bad)} must be an array of {r} vertex ids")
+    H, dups = _from_rows(rows, n, r)
     if dups:
         warnings.warn(f"dropped {dups} duplicate edge(s)", stacklevel=2)
     return H

@@ -27,7 +27,6 @@ from .hypergraph import UniformHypergraph
 from .tensors import (
     ADJACENCY,
     DENSE,
-    LAPLACIAN,
     SIGNLESS_LAPLACIAN,
     TensorOperator,
     eigen_residual,
@@ -204,8 +203,6 @@ def power_iterate(T: TensorOperator, cfg: SolverConfig | None = None) -> EigenPa
     bracket, which still encloses the spectral radius.
     """
     cfg = cfg or SolverConfig()
-    if T.kind == LAPLACIAN and not T.nonnegative:
-        raise ValueError("laplacian operator is not nonnegative; solver rejects it")
     if T.kind == DENSE and not T.nonnegative:
         raise ValueError("dense operator has negative entries; solver rejects it")
     shift = default_shift(T.kind) if cfg.shift is None else cfg.shift

@@ -22,10 +22,9 @@ DENSE_ORDER_CAP = 6
 ADJACENCY = "adjacency"
 DEGREE_DIAGONAL = "degree-diagonal"
 SIGNLESS_LAPLACIAN = "signless-laplacian"
-LAPLACIAN = "laplacian"
 DENSE = "dense"
 
-HYPERGRAPH_KINDS = (ADJACENCY, DEGREE_DIAGONAL, SIGNLESS_LAPLACIAN, LAPLACIAN)
+HYPERGRAPH_KINDS = (ADJACENCY, DEGREE_DIAGONAL, SIGNLESS_LAPLACIAN)
 
 
 class DenseTensor:
@@ -68,31 +67,6 @@ class DenseTensor:
             out = out.dot(x)
         return out
 
-    def __add__(self, other: "DenseTensor") -> "DenseTensor":
-        if not isinstance(other, DenseTensor):
-            return NotImplemented
-        if self.entries.shape != other.entries.shape:
-            raise ValueError("tensor shapes differ")
-        return DenseTensor(self.entries + other.entries, dim_cap=self.dim)
-
-    def __mul__(self, scalar) -> "DenseTensor":
-        return DenseTensor(self.entries * float(scalar), dim_cap=self.dim)
-
-    __rmul__ = __mul__
-
-
-def unit_tensor(r: int, m: int, dim_cap: int | None = None) -> DenseTensor:
-    """Diagonal tensor with ones at the repeated-index positions.
-
-    Its apply is the componentwise power x -> x^[r-1].
-    """
-    if r < 2 or m < 1:
-        raise ValueError(f"unit tensor needs order >= 2 and dim >= 1, got ({r},{m})")
-    arr = np.zeros((m,) * r)
-    for i in range(m):
-        arr[(i,) * r] = 1.0
-    return DenseTensor(arr, dim_cap=dim_cap)
-
 
 def distinct_index_tensor(r: int, dim_cap: int | None = None) -> DenseTensor:
     """Order-r, dimension-r 0/1 tensor marking pairwise-distinct index tuples."""
@@ -105,7 +79,7 @@ def distinct_index_tensor(r: int, dim_cap: int | None = None) -> DenseTensor:
 
 
 def dense_tensor_of(H: UniformHypergraph, kind: str, dim_cap: int | None = None) -> DenseTensor:
-    """Materialize the adjacency / degree / (signless) Laplacian tensor of H.
+    """Materialize the adjacency, degree or signless Laplacian tensor of H.
 
     Intended for small instances and independent cross-checks; everything
     else should go through :class:`TensorOperator`.
@@ -124,12 +98,7 @@ def dense_tensor_of(H: UniformHypergraph, kind: str, dim_cap: int | None = None)
         diag = np.zeros((n,) * r)
         for v, d in enumerate(H.degrees()):
             diag[(v,) * r] = float(d)
-        if kind == DEGREE_DIAGONAL:
-            arr = diag
-        elif kind == SIGNLESS_LAPLACIAN:
-            arr = diag + adj
-        else:
-            arr = diag - adj
+        arr = diag if kind == DEGREE_DIAGONAL else diag + adj
     return DenseTensor(arr, dim_cap=dim_cap)
 
 
@@ -196,10 +165,6 @@ class TensorOperator:
         return cls(SIGNLESS_LAPLACIAN, hypergraph=H)
 
     @classmethod
-    def laplacian(cls, H: UniformHypergraph) -> "TensorOperator":
-        return cls(LAPLACIAN, hypergraph=H)
-
-    @classmethod
     def dense(cls, tensor: DenseTensor) -> "TensorOperator":
         return cls(DENSE, tensor=tensor)
 
@@ -212,8 +177,6 @@ class TensorOperator:
     @property
     def nonnegative(self) -> bool:
         """Entrywise nonnegativity (required by the spectral solver)."""
-        if self.kind == LAPLACIAN:
-            return self.hypergraph.num_edges == 0
         if self.kind == DENSE:
             return bool(self.entries_min() >= 0.0)
         return True
@@ -266,9 +229,7 @@ class TensorOperator:
         diag = self._deg * x ** (self.order - 1)
         if self.kind == DEGREE_DIAGONAL:
             return diag
-        if self.kind == SIGNLESS_LAPLACIAN:
-            return diag + self._apply_adjacency(x)
-        return diag - self._apply_adjacency(x)
+        return diag + self._apply_adjacency(x)
 
     def jacobian_apply(self, x, v) -> np.ndarray:
         """The Jacobian of ``x -> Tx`` at x, applied to v.

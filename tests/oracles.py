@@ -27,6 +27,36 @@ def dense_adjacency(H):
     return arr
 
 
+def kronecker_adjacency_apply(H: UniformHypergraph, w) -> np.ndarray:
+    """Apply the product (base adjacency x all-distinct-labels) to w.
+
+    Evaluated straight from the product's entry rule, without constructing
+    the blow-up: component (i, j) sums, over base edges through i and over
+    bijections from the remaining edge vertices onto the remaining labels,
+    the product of the matching entries of w.
+    """
+    r = H.r
+    w = np.asarray(w, dtype=float)
+    if w.shape != (r * H.n,):
+        raise ValueError(f"vector dimension {w.shape} does not match {r * H.n}")
+    W = w.reshape(H.n, r)
+    out = np.zeros(r * H.n)
+    labels = range(r)
+    for edge in H.edges:
+        for pos, i in enumerate(edge):
+            rest = edge[:pos] + edge[pos + 1 :]
+            for j in labels:
+                other_labels = [l for l in labels if l != j]
+                total = 0.0
+                for assigned in permutations(other_labels):
+                    prod = 1.0
+                    for v, l in zip(rest, assigned):
+                        prod *= W[v, l]
+                    total += prod
+                out[i * r + j] += total
+    return out
+
+
 def dense_apply(arr, x):
     out = arr
     for _ in range(arr.ndim - 1):

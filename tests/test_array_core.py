@@ -4,6 +4,7 @@ isolated vertices."""
 
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -175,6 +176,34 @@ def test_constructor_non_integer_rejected():
         UniformHypergraph(3, 3, ((0.7, 1, 2),))
     # integral values of any numeric type are still accepted
     assert UniformHypergraph(3, 3, ((2.0, np.int32(1), 0),)).edges == ((0, 1, 2),)
+
+
+# rows that are not sequences are refused, not crashed on or read digit by digit
+
+
+@pytest.mark.parametrize(
+    "edges, message",
+    [
+        ("[1, 2, 3]", "edge 1 must be an array of 3 vertex ids"),
+        ("7", "field 'edges' must be an array of edges"),
+        ("[[1, 2, 3], 5]", "edge 5 must be an array of 3 vertex ids"),
+        ('["123"]', 'edge "123" must be an array of 3 vertex ids'),
+    ],
+)
+def test_json_edge_rows_must_be_arrays(edges, message, tmp_path, capsys):
+    text = f'{{"n": 3, "r": 3, "edges": {edges}}}'
+    with pytest.raises(FormatError, match=re.escape(message)):
+        hypergraph_from_json(text)
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    assert main(["spectrum", "--in", str(path)]) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("rows", [["012"], [b"012"], [1, 2, 3], [(0, 1, 2), 5]])
+def test_constructor_rows_must_be_sequences(rows):
+    with pytest.raises(ValueError, match="must contain exactly 3 distinct vertices"):
+        UniformHypergraph(3, 3, rows)
 
 
 # isolated vertices are accounted for in closed form

@@ -5,9 +5,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import oracles
 from hyperspec import (
     CapacityError,
+    DenseTensor,
     TensorOperator,
     UniformHypergraph,
     blowup,
@@ -53,7 +57,7 @@ def test_blowup_edge_and_degree_laws():
         base = H.degrees()
         for i in range(H.n):
             for j in range(H.r):
-                assert degs[bl.flat_index(i, j)] == math.factorial(H.r - 1) * base[i]
+                assert degs[i * H.r + j] == math.factorial(H.r - 1) * base[i]
 
 
 def test_blowup_is_r_partite():
@@ -74,8 +78,8 @@ def test_blowup_capacity_guards():
 def test_vertex_map_round_trip():
     bl = blowup(single_edge(3))
     for i, j, flat in bl.vertex_map():
-        assert bl.flat_index(i, j) == flat
-        assert bl.pair_of(flat) == (i, j)
+        assert i * 3 + j == flat
+        assert divmod(flat, 3) == (i, j)
     import json
 
     triples = json.loads(bl.vertex_map_json())
@@ -117,15 +121,44 @@ def test_product_identity_mutated_tilde_fails_with_witness():
 
 
 def test_identity_trials_reject_mutated_tilde_in_both_checks():
+    # loose_path(3, 2) also gets the entrywise check, single_edge(5) does not
+    for H, entrywise in ((loose_path(3, 2), True), (single_edge(5), False)):
+        tilde = blowup(H).tilde
+        mutated = UniformHypergraph(tilde.n, tilde.r, tilde.edges[1:])
+        product, apply_ok, apply_error = blowup_mod._identity_trials(H, mutated, 10, 0, 1e-10)
+        assert product.entrywise_checked is entrywise
+        assert not product.ok
+        assert product.witness is not None
+        assert product.witness.shape == (tilde.n,)
+        assert not apply_ok
+        assert apply_error > 1e-10
+
+
+def _count_calls(calls, name, fn):
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+
+    return wrapper
+
+
+def test_dense_checked_trials_apply_only_the_kronecker_product(monkeypatch):
+    # loose_path(3, 2) is small enough for the entrywise check, yet every
+    # trial goes through kronecker_adjacency_apply and none contracts a
+    # dense tensor
     H = loose_path(3, 2)
-    tilde = blowup(H).tilde
-    mutated = UniformHypergraph(tilde.n, tilde.r, tilde.edges[1:])
-    product, apply_ok, apply_error = blowup_mod._identity_trials(H, mutated, 10, 0, 1e-10)
-    assert not product.ok
-    assert product.witness is not None
-    assert product.witness.shape == (15,)
-    assert not apply_ok
-    assert apply_error > 1e-10
+    assert (H.n * H.r) ** H.r <= blowup_mod.DENSE_CHECK_BUDGET
+    calls = {"kron": 0, "dense": 0}
+    monkeypatch.setattr(
+        blowup_mod,
+        "kronecker_adjacency_apply",
+        _count_calls(calls, "kron", blowup_mod.kronecker_adjacency_apply),
+    )
+    monkeypatch.setattr(DenseTensor, "apply", _count_calls(calls, "dense", DenseTensor.apply))
+    result = blowup_mod.verify_blowup(H, trials=4)
+    assert result.ok
+    assert result.product.entrywise_checked
+    assert calls == {"kron": 4, "dense": 0}
 
 
 def test_verify_blowup_builds_once_and_applies_kronecker_once_per_trial(monkeypatch):
@@ -134,19 +167,11 @@ def test_verify_blowup_builds_once_and_applies_kronecker_once_per_trial(monkeypa
     H = single_edge(5)
     assert (H.n * H.r) ** H.r > blowup_mod.DENSE_CHECK_BUDGET
     calls = {"blowup": 0, "kron": 0}
-
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-
-        return wrapper
-
-    monkeypatch.setattr(blowup_mod, "blowup", counted("blowup", blowup_mod.blowup))
+    monkeypatch.setattr(blowup_mod, "blowup", _count_calls(calls, "blowup", blowup_mod.blowup))
     monkeypatch.setattr(
         blowup_mod,
         "kronecker_adjacency_apply",
-        counted("kron", blowup_mod.kronecker_adjacency_apply),
+        _count_calls(calls, "kron", blowup_mod.kronecker_adjacency_apply),
     )
     result = blowup_mod.verify_blowup(H, trials=4)
     assert result.ok
@@ -167,6 +192,36 @@ def test_kronecker_apply_matches_dense_product():
             np.testing.assert_allclose(
                 kronecker_adjacency_apply(H, w), product.apply(w), atol=1e-10
             )
+
+
+@st.composite
+def _kronecker_cases(draw):
+    """(H, w): a small r-uniform graph, r = 2..6, possibly edgeless, and a
+    signed vector whose entries span six decades."""
+    r = draw(st.integers(2, 6))
+    n = draw(st.integers(r, r + 3))
+    m = draw(st.integers(0, min(5, math.comb(n, r))))
+    H = random_hypergraph(n, r, m, draw(st.integers(0, 10**6)))
+    exponents = draw(st.lists(st.floats(-3.0, 3.0), min_size=n * r, max_size=n * r))
+    signs = draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=n * r, max_size=n * r))
+    return H, np.array(signs) * 10.0 ** np.array(exponents)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_kronecker_cases())
+@example((UniformHypergraph(7, 6), np.ones(42)))
+@example((single_edge(6), np.where(np.arange(36) % 6 == 0, 1e3, 1e-3)))
+def test_kronecker_apply_matches_oracle_loop(case):
+    # Both sides sum the same products of entries of w in different orders,
+    # so they may differ by rounding relative to the same sums taken over
+    # |w|; a formula that subtracts large terms, such as Ryser's, fails this
+    # when the rows of a minor share one dominant label (the second example).
+    H, w = case
+    got = kronecker_adjacency_apply(H, w)
+    expected = oracles.kronecker_adjacency_apply(H, w)
+    scale = np.max(oracles.kronecker_adjacency_apply(H, np.abs(w)), initial=0.0)
+    assert got.dtype == float and got.shape == expected.shape
+    assert np.max(np.abs(got - expected), initial=0.0) <= 1e-12 * scale
 
 
 def test_spectral_scaling_single_edge():

@@ -23,6 +23,7 @@ from hyperspec import (
     spectral_radius,
     verify_bounds,
 )
+from hyperspec.bounds import dominance_holds
 
 # frozen by independent arithmetic: ((4 + 2*sqrt(2)) / 5) ** (2/3)
 LOOSE_PATH_BOUND = 1.2309312092285165
@@ -74,8 +75,9 @@ def test_r2_regression_sum_of_squares():
     assert abs(rho - math.sqrt(2.0)) < 1e-9
     reports = verify_bounds(star)
     by_kind = {rep.kind: rep for rep in reports}
-    assert by_kind["hofmeister-r2"].equality
-    assert not by_kind["hofmeister-r2"].regular
+    assert list(by_kind) == ["adjacency", "signless-laplacian", "average-degree"]
+    assert by_kind["adjacency"].equality
+    assert not by_kind["adjacency"].regular
     assert all(rep.consistent for rep in reports)
 
 
@@ -203,6 +205,18 @@ def test_dominance_over_average_degree():
             assert abs(pm - avg) < 1e-9
         else:
             assert pm > avg + 1e-12
+
+
+def test_dominance_gate():
+    for H in (complete(5, 3), loose_path(3, 2), UniformHypergraph(6, 3, ((0, 1, 2), (3, 4, 5)))):
+        assert dominance_holds(verify_bounds(H))
+    reports = verify_bounds(loose_path(3, 2))
+    avg = next(rep for rep in reports if rep.kind == "average-degree")
+    # an average degree above the power mean, or equal to it on an
+    # irregular graph, breaks the gate
+    for bound in (reports[0].bound + 1e-6, reports[0].bound):
+        avg.bound = bound
+        assert not dominance_holds(reports)
 
 
 def test_bound_report_serialization():

@@ -195,6 +195,27 @@ def test_verify_solves_each_radius_once(capsys, monkeypatch):
     assert solved and max(solved.values()) == 1
 
 
+BUILTIN_INSTANCES = [
+    "complete:4,3", "complete:5,3", "complete:6,3",
+    "single_edge:3", "single_edge:4", "single_edge:5",
+    "loose_path:3,2", "loose_path:3,3", "loose_path:4,2",
+    "random:8,3,10,1", "random:9,3,12,2", "random:10,4,8,3",
+    "disjoint_pair:3",
+]
+
+
+def test_builtin_verify_rows_are_pinned(capsys):
+    # every builtin instance runs every check, and every check passes
+    code, out, _ = run(capsys, ["verify", "--json"])
+    assert code == 0
+    rows = [(row["instance"], row["check"], row["status"]) for row in json.loads(out)["results"]]
+    assert rows == [
+        (name, check, "pass")
+        for name in BUILTIN_INSTANCES
+        for check in ("bounds", "dominance", "blowup", "odd-coloring")
+    ]
+
+
 def test_bound_gate_is_shared(tmp_path, capsys, monkeypatch):
     import hyperspec.cli as cli_mod
 

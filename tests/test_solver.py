@@ -105,11 +105,6 @@ def test_distinct_index_tensor_radius():
         assert abs(pair.value - math.factorial(r - 1)) < 1e-10
 
 
-def test_laplacian_rejected():
-    with pytest.raises(ValueError):
-        power_iterate(TensorOperator.laplacian(single_edge(3)))
-
-
 def test_negative_dense_rejected():
     from hyperspec import DenseTensor
 

@@ -25,7 +25,6 @@ from hyperspec import (
     random_hypergraph,
     rayleigh,
     single_edge,
-    unit_tensor,
 )
 
 
@@ -68,8 +67,6 @@ def test_apply_dimension_mismatch():
 def test_operator_kind_examples():
     q = TensorOperator.signless_laplacian(single_edge(3))
     np.testing.assert_allclose(q.apply(np.ones(3)), [2, 2, 2])
-    lap = TensorOperator.laplacian(single_edge(3))
-    np.testing.assert_allclose(lap.apply(np.ones(3)), [0, 0, 0])
     deg = TensorOperator.degree_diagonal(loose_path(3, 2))
     np.testing.assert_allclose(deg.apply(np.ones(5)), [1, 1, 2, 1, 1])
 
@@ -77,14 +74,13 @@ def test_operator_kind_examples():
 def test_operator_nonnegativity_flags():
     assert TensorOperator.adjacency(single_edge(3)).nonnegative
     assert TensorOperator.signless_laplacian(single_edge(3)).nonnegative
-    assert not TensorOperator.laplacian(single_edge(3)).nonnegative
-    assert TensorOperator.laplacian(UniformHypergraph(3, 3)).nonnegative
+    assert TensorOperator.degree_diagonal(single_edge(3)).nonnegative
 
 
 def test_homogeneity_of_apply():
     rng = np.random.default_rng(1)
     H = random_hypergraph(6, 3, 7, 3)
-    for kind in ("adjacency", "degree-diagonal", "signless-laplacian", "laplacian"):
+    for kind in ("adjacency", "degree-diagonal", "signless-laplacian"):
         T = TensorOperator.for_hypergraph(H, kind)
         x = rng.standard_normal(6)
         c = 1.7
@@ -155,23 +151,14 @@ def test_distinct_index_tensor_entries():
     np.testing.assert_allclose(B.apply(np.ones(3)), [2, 2, 2])
 
 
-def test_unit_tensor():
-    I = unit_tensor(3, 2)
-    np.testing.assert_allclose(I.apply([2.0, 3.0]), [4.0, 9.0])
-    assert I.entries[0, 0, 0] == 1.0
-    assert I.entries[0, 1, 0] == 0.0
-
-
 def test_dense_tensor_of_matches_oracle():
     H = loose_path(3, 2)
     np.testing.assert_allclose(
         dense_tensor_of(H, "adjacency").entries, oracles.dense_adjacency(H)
     )
     q = dense_tensor_of(H, "signless-laplacian")
-    lap = dense_tensor_of(H, "laplacian")
     deg = dense_tensor_of(H, "degree-diagonal")
     np.testing.assert_allclose(q.entries - deg.entries, oracles.dense_adjacency(H))
-    np.testing.assert_allclose(deg.entries - lap.entries, oracles.dense_adjacency(H))
 
 
 def test_dense_dimension_cap():
@@ -198,9 +185,9 @@ def test_direct_product_scalar_associativity():
     rng = np.random.default_rng(3)
     A = DenseTensor(rng.random((2, 2, 2)))
     B = DenseTensor(rng.random((3, 3, 3)))
-    lhs = direct_product(2.0 * A, B)
-    rhs = 2.0 * direct_product(A, B)
-    np.testing.assert_allclose(lhs.entries, rhs.entries)
+    lhs = direct_product(DenseTensor(2.0 * A.entries), B).entries
+    rhs = 2.0 * direct_product(A, B).entries
+    np.testing.assert_allclose(lhs, rhs)
 
 
 def test_direct_product_matches_blowup_adjacency():
@@ -239,7 +226,7 @@ def test_product_distributivity():
     A2 = DenseTensor(rng.random((2, 2, 2)))
     B = DenseTensor(rng.random((3, 3, 3)))
     x = rng.standard_normal(6)
-    lhs = direct_product(A1 + A2, B).apply(x)
+    lhs = direct_product(DenseTensor(A1.entries + A2.entries), B).apply(x)
     rhs = direct_product(A1, B).apply(x) + direct_product(A2, B).apply(x)
     np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
