@@ -17,7 +17,6 @@ from .blowup import blowup, verify_blowup
 from .bounds import bounds_hold, dominance_holds, verify_bounds
 from .errors import CapacityError, FormatError
 from .hypergraph import (
-    ODD_COLORING_CAP,
     UniformHypergraph,
     find_odd_coloring,
     generate,
@@ -206,13 +205,10 @@ def _instance_checks(name: str, H: UniformHypergraph, cfg: SolverConfig) -> list
     else:
         rows.append((name, "blowup", None, "skipped: size"))
     if H.r % 2 == 0:
-        if H.n <= ODD_COLORING_CAP:
-            phi = find_odd_coloring(H)
-            coloring_ok = phi is None or verify_odd_coloring(H, phi)
-            rows.append((name, "odd-coloring", coloring_ok,
-                         "found" if phi is not None else "none exists"))
-        else:
-            rows.append((name, "odd-coloring", None, "skipped: size"))
+        phi = find_odd_coloring(H)
+        coloring_ok = phi is None or verify_odd_coloring(H, phi)
+        rows.append((name, "odd-coloring", coloring_ok,
+                     "found" if phi is not None else "none exists"))
     else:
         try:
             find_odd_coloring(H)

@@ -16,10 +16,7 @@ from itertools import chain, combinations
 
 import numpy as np
 
-from .errors import CapacityError, FormatError
-
-#: Largest vertex count accepted by the exhaustive odd-coloring search.
-ODD_COLORING_CAP = 12
+from .errors import FormatError
 
 
 def _as_int(value) -> int:
@@ -471,54 +468,59 @@ def generate(spec: str) -> UniformHypergraph:
 
 
 def verify_odd_coloring(H: UniformHypergraph, phi: dict[int, int]) -> bool:
-    """Check every edge's label sum is r/2 modulo r."""
-    half = H.r // 2
-    return all(sum(phi[v] for v in edge) % H.r == half for edge in H.edges)
-
-
-def find_odd_coloring(
-    H: UniformHypergraph, cap: int = ODD_COLORING_CAP
-) -> dict[int, int] | None:
-    """Exhaustive backtracking search for an odd coloring, None if impossible.
-
-    The residue constraint is checked edge-by-edge as soon as an edge is
-    fully labeled, so infeasible branches are cut early; the search is
-    still exhaustive, hence capped at ``cap`` vertices.
-    """
-    if H.r % 2 != 0:
-        raise ValueError(f"odd coloring needs even uniformity, got r={H.r}")
-    if H.n > cap:
-        raise CapacityError(f"odd-coloring search capped at {cap} vertices, got n={H.n}")
-    r, half = H.r, H.r // 2
-    edges_of: list[list[int]] = [[] for _ in range(H.n)]
-    for idx, edge in enumerate(H.edges):
-        for v in edge:
-            edges_of[v].append(idx)
-    edge_sum = [0] * H.num_edges
-    unlabeled = [H.r] * H.num_edges
-    labels = [0] * H.n
-
-    def assign(v: int) -> bool:
-        if v == H.n:
-            return True
-        for lab in range(1, r + 1):
-            labels[v] = lab
-            for ei in edges_of[v]:
-                edge_sum[ei] += lab
-                unlabeled[ei] -= 1
-            feasible = all(
-                unlabeled[ei] > 0 or edge_sum[ei] % r == half for ei in edges_of[v]
-            )
-            if feasible and assign(v + 1):
-                return True
-            for ei in edges_of[v]:
-                edge_sum[ei] -= lab
-                unlabeled[ei] += 1
-        labels[v] = 0
+    """Check that ``phi`` labels exactly the vertices 0..n-1, each with an
+    integer in 1..r, and that every edge's label sum is r/2 modulo r."""
+    labels = [phi.get(v) for v in range(H.n)]
+    if len(phi) != H.n or not all(
+        isinstance(x, (int, np.integer)) and not isinstance(x, bool) and 1 <= x <= H.r
+        for x in labels
+    ):
         return False
+    sums = np.array(labels, dtype=np.int64)[H.edge_array].sum(axis=1)
+    return bool(np.all(sums % H.r == H.r // 2))
 
-    if not assign(0):
+
+def find_odd_coloring(H: UniformHypergraph) -> dict[int, int] | None:
+    """An odd coloring of H, or None if it has none; decided exactly.
+
+    Write r = 2^a s with s odd.  Modulo s the target r/2 is 0, met by labels
+    0 mod s; modulo 2^a it is 2^(a-1).  So H is odd-colorable iff
+    B psi = 2^(a-1) (mod 2^a) is solvable, B the edge-vertex incidence
+    matrix.  Elimination goes level by level: at level l every entry left in
+    the unpivoted rows is divisible by 2^l, and one of 2-adic valuation
+    exactly l is a pivot.  An odd multiple of a solution is a solution, so
+    phi = s psi, with residue 0 read as label r.  Time O(n m min(n, m)),
+    memory O(n m).
+    """
+    r, n, m = H.r, H.n, H.num_edges
+    if r % 2 != 0:
+        raise ValueError(f"odd coloring needs even uniformity, got r={r}")
+    a = (r & -r).bit_length() - 1
+    s, mask = r >> a, (1 << a) - 1
+    # [B | right-hand side]; unsigned arithmetic wraps modulo 2^8 or 2^64,
+    # both multiples of 2^a, so only the rows still tested are reduced
+    M = np.zeros((m, n + 1), dtype=np.uint8 if a <= 8 else np.uint64)
+    M[np.arange(m)[:, None], H.edge_array] = 1
+    M[:, n] = 1 << (a - 1)
+    pivots = []  # (column, level) of row k; rows 0..k-1 are pivoted
+    for level in range(a):
+        for j in range(n):
+            k = len(pivots)
+            hits = np.flatnonzero(M[k:, j] & (1 << level))
+            if len(hits) == 0:
+                continue
+            M[[k, k + hits[0]]] = M[[k + hits[0], k]]
+            M[k] *= M.dtype.type(pow(int(M[k, j]) >> level, -1, 1 << a))
+            below = k + 1 + np.flatnonzero(M[k + 1 :, j])
+            M[below] = (M[below] - (M[below, j] >> level)[:, None] * M[k]) & mask
+            pivots.append((j, level))
+    if np.any(M[len(pivots) :, n]):
         return None
-    phi = {v: labels[v] for v in range(H.n)}
-    assert verify_odd_coloring(H, phi)
-    return phi
+    # back substitution, free variables 0; t is divisible by 2^level because
+    # the row's entries are, and every right-hand side is a multiple of 2^(a-1)
+    psi = np.zeros(n + 1, dtype=np.int64)
+    for k in reversed(range(len(pivots))):
+        j, level = pivots[k]
+        t = (int(M[k, n]) - int(M[k].astype(np.int64) @ psi)) & mask
+        psi[j] = t >> level
+    return {v: s * int(x) if x else r for v, x in enumerate(psi[:n])}

@@ -58,6 +58,8 @@ class SolverConfig:
     seed: int | None = None
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.tolerance):
+            raise ValueError(f"tolerance must be finite, got {self.tolerance}")
         if self.tolerance <= 0:
             raise ValueError(f"tolerance must be positive, got {self.tolerance}")
         if self.max_iterations < 1:

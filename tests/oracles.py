@@ -258,3 +258,45 @@ def prefix_suffix_cumprod(gathered):
     hi = np.ones_like(gathered)
     hi[:, :-1] = np.cumprod(gathered[:, :0:-1], axis=1)[:, ::-1]
     return lo, hi
+
+
+def find_odd_coloring(H):
+    """Exhaustive backtracking search for an odd coloring, None if impossible.
+
+    The residue constraint is checked edge-by-edge as soon as an edge is
+    fully labeled, so infeasible branches are cut early; the search is
+    still exhaustive, so it is only usable for small n.
+    """
+    if H.r % 2 != 0:
+        raise ValueError(f"odd coloring needs even uniformity, got r={H.r}")
+    r, half = H.r, H.r // 2
+    edges_of: list[list[int]] = [[] for _ in range(H.n)]
+    for idx, edge in enumerate(H.edges):
+        for v in edge:
+            edges_of[v].append(idx)
+    edge_sum = [0] * H.num_edges
+    unlabeled = [H.r] * H.num_edges
+    labels = [0] * H.n
+
+    def assign(v: int) -> bool:
+        if v == H.n:
+            return True
+        for lab in range(1, r + 1):
+            labels[v] = lab
+            for ei in edges_of[v]:
+                edge_sum[ei] += lab
+                unlabeled[ei] -= 1
+            feasible = all(
+                unlabeled[ei] > 0 or edge_sum[ei] % r == half for ei in edges_of[v]
+            )
+            if feasible and assign(v + 1):
+                return True
+            for ei in edges_of[v]:
+                edge_sum[ei] -= lab
+                unlabeled[ei] += 1
+        labels[v] = 0
+        return False
+
+    if not assign(0):
+        return None
+    return {v: labels[v] for v in range(H.n)}

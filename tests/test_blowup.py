@@ -1,6 +1,7 @@
 """Tests for the blow-up construction and its spectral identities."""
 
 import importlib
+import itertools
 import math
 
 import numpy as np
@@ -106,7 +107,6 @@ def test_product_identity_acceptance_trio():
     for H in ACCEPTANCE_TRIO:
         result = check_product_identity(H, trials=50, seed=3)
         assert result.ok
-        assert result.entrywise_checked
         assert result.max_relative_error <= 1e-10
 
 
@@ -120,13 +120,51 @@ def test_product_identity_mutated_tilde_fails_with_witness():
     assert result.witness.shape == (15,)
 
 
+def _replace_first_edge(tilde, edge):
+    return UniformHypergraph(tilde.n, tilde.r, (edge,) + tilde.edges[1:])
+
+
+@pytest.mark.parametrize(
+    "H, mutate",
+    [
+        (single_edge(5), lambda t: UniformHypergraph(t.n, t.r, t.edges[1:])),
+        # base edge (0, 1, 2) with labels (0, 0, 1): not all distinct
+        (loose_path(3, 2), lambda t: _replace_first_edge(t, (0, 3, 7))),
+        # base (0, 1, 3) with distinct labels: not an edge of the base
+        (loose_path(3, 2), lambda t: _replace_first_edge(t, (0, 4, 11))),
+        (loose_path(3, 2), lambda t: UniformHypergraph(t.n + 1, t.r, t.edge_array)),
+    ],
+    ids=["missing-edge", "repeated-label", "foreign-base-edge", "extra-vertex"],
+)
+def test_entrywise_check_rejects_mutated_tilde_without_trials(H, mutate):
+    tilde = blowup(H).tilde
+    assert check_product_identity(H, trials=0, tilde=tilde).ok
+    assert not check_product_identity(H, trials=0, tilde=mutate(tilde)).ok
+
+
+def test_blowup_edges_match_tuple_construction():
+    graphs = (
+        single_edge(2),
+        loose_path(3, 2),
+        complete(5, 4),
+        random_hypergraph(9, 4, 12, 5),
+        UniformHypergraph(3, 3),
+    )
+    for H in graphs:
+        r = H.r
+        edges = [
+            tuple(base_edge[k] * r + labels[k] for k in range(r))
+            for base_edge in H.edges
+            for labels in itertools.permutations(range(r))
+        ]
+        assert blowup(H).tilde == UniformHypergraph(H.n * r, r, edges)
+
+
 def test_identity_trials_reject_mutated_tilde_in_both_checks():
-    # loose_path(3, 2) also gets the entrywise check, single_edge(5) does not
-    for H, entrywise in ((loose_path(3, 2), True), (single_edge(5), False)):
+    for H in (loose_path(3, 2), single_edge(5)):
         tilde = blowup(H).tilde
         mutated = UniformHypergraph(tilde.n, tilde.r, tilde.edges[1:])
         product, apply_ok, apply_error = blowup_mod._identity_trials(H, mutated, 10, 0, 1e-10)
-        assert product.entrywise_checked is entrywise
         assert not product.ok
         assert product.witness is not None
         assert product.witness.shape == (tilde.n,)
@@ -143,29 +181,26 @@ def _count_calls(calls, name, fn):
 
 
 def test_dense_checked_trials_apply_only_the_kronecker_product(monkeypatch):
-    # loose_path(3, 2) is small enough for the entrywise check, yet every
-    # trial goes through kronecker_adjacency_apply and none contracts a
-    # dense tensor
+    # every trial goes through kronecker_adjacency_apply, and the entrywise
+    # check neither builds nor contracts a dense tensor
     H = loose_path(3, 2)
-    assert (H.n * H.r) ** H.r <= blowup_mod.DENSE_CHECK_BUDGET
-    calls = {"kron": 0, "dense": 0}
+    calls = {"kron": 0, "dense": 0, "dense_build": 0}
     monkeypatch.setattr(
         blowup_mod,
         "kronecker_adjacency_apply",
         _count_calls(calls, "kron", blowup_mod.kronecker_adjacency_apply),
     )
     monkeypatch.setattr(DenseTensor, "apply", _count_calls(calls, "dense", DenseTensor.apply))
+    monkeypatch.setattr(
+        DenseTensor, "__init__", _count_calls(calls, "dense_build", DenseTensor.__init__)
+    )
     result = blowup_mod.verify_blowup(H, trials=4)
     assert result.ok
-    assert result.product.entrywise_checked
-    assert calls == {"kron": 4, "dense": 0}
+    assert calls == {"kron": 4, "dense": 0, "dense_build": 0}
 
 
 def test_verify_blowup_builds_once_and_applies_kronecker_once_per_trial(monkeypatch):
-    # 25**5 entries exceed DENSE_CHECK_BUDGET, so the product side goes
-    # through kronecker_adjacency_apply
     H = single_edge(5)
-    assert (H.n * H.r) ** H.r > blowup_mod.DENSE_CHECK_BUDGET
     calls = {"blowup": 0, "kron": 0}
     monkeypatch.setattr(blowup_mod, "blowup", _count_calls(calls, "blowup", blowup_mod.blowup))
     monkeypatch.setattr(

@@ -1,12 +1,15 @@
 """Tests for hypergraph representation, parsing, generators, colorings."""
 
 import math
-from itertools import product
+import time
+from itertools import combinations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from hyperspec import (
-    CapacityError,
     FormatError,
     UniformHypergraph,
     complete,
@@ -257,11 +260,10 @@ def test_odd_r_rejected():
         find_odd_coloring(single_edge(3))
 
 
-def test_cap_enforced():
-    H = UniformHypergraph(13, 4, ())
-    with pytest.raises(CapacityError):
-        find_odd_coloring(H)
-    assert find_odd_coloring(H, cap=13) is not None
+def test_no_vertex_cap():
+    phi = find_odd_coloring(UniformHypergraph(13, 4))
+    assert phi is not None and sorted(phi) == list(range(13))
+    assert verify_odd_coloring(UniformHypergraph(13, 4), phi)
 
 
 def test_no_edges_vacuously_colorable():
@@ -284,3 +286,67 @@ def test_found_colorings_reverify():
         phi = find_odd_coloring(H)
         if phi is not None:
             assert verify_odd_coloring(H, phi)
+
+
+@st.composite
+def _coloring_cases(draw):
+    """A small even-uniform graph, possibly edgeless.  r = 12 (odd part 3)
+    needs up to 13 vertices to have edges; at most 3 edges there and 8
+    elsewhere keep the backtracking oracle fast (complete(9, 8) alone would
+    take it minutes)."""
+    r = draw(st.sampled_from([2, 4, 6, 8, 12]))
+    n = draw(st.integers(1, 13 if r == 12 else 9))
+    pool = list(combinations(range(n), r))
+    if not pool:
+        return UniformHypergraph(n, r)
+    edges = draw(st.lists(st.sampled_from(pool), max_size=3 if r == 12 else 8))
+    return UniformHypergraph(n, r, edges)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_coloring_cases())
+def test_odd_coloring_matches_backtracking_oracle(H):
+    phi = find_odd_coloring(H)
+    assert (phi is None) == (oracles.find_odd_coloring(H) is None)
+    if phi is not None:
+        assert verify_odd_coloring(H, phi)
+
+
+def test_odd_coloring_decided_above_the_old_cap():
+    K = complete(5, 4)
+    assert find_odd_coloring(K) is None
+    copies = UniformHypergraph(15, 4, [[v + 5 * c for v in e] for c in range(3) for e in K.edges])
+    assert find_odd_coloring(copies) is None
+    path = loose_path(4, 20)
+    phi = find_odd_coloring(path)
+    assert phi is not None and verify_odd_coloring(path, phi)
+    # every edge misses one vertex, so all labels agree and 12c = 6 mod 12
+    assert find_odd_coloring(complete(13, 12)) is None
+
+
+def test_odd_coloring_is_fast_where_the_search_was_slow():
+    started = time.perf_counter()
+    assert find_odd_coloring(random_hypergraph(12, 6, 40, 3)) is None
+    assert time.perf_counter() - started < 1.0
+
+
+@pytest.mark.parametrize(
+    "phi",
+    [
+        {0: 0, 1: 0, 2: 0, 3: 2},
+        {0: 6, 1: 4, 2: 4, 3: 4},
+        {0: -2, 1: 4, 2: 4, 3: 4},
+        {0: 1, 1: 1, 2: 4},
+        {0: 1, 1: 1, 2: 4, 3: 4, 4: 2},
+        {0: 1.0, 1: 1, 2: 4, 3: 4},
+        {0: True, 1: 1, 2: 4, 3: 4},
+    ],
+    ids=["zero-labels", "label-above-r", "negative-label", "missing-vertex",
+         "extra-vertex", "float-label", "bool-label"],
+)
+def test_verify_odd_coloring_rejects_bad_labels(phi):
+    # wherever the edge is fully labelled its sum is 2 mod 4, so only the
+    # labels themselves are at fault
+    H = single_edge(4)
+    assert verify_odd_coloring(H, {0: 1, 1: 1, 2: 4, 3: 4})
+    assert not verify_odd_coloring(H, phi)

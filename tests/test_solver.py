@@ -7,6 +7,7 @@ import pytest
 
 import oracles
 from hyperspec import solver
+from hyperspec.cli import main
 from hyperspec import (
     SolverConfig,
     TensorOperator,
@@ -276,3 +277,11 @@ def test_eigenpair_json_fields():
     payload = pair.to_json()
     assert set(payload) == {"lambda", "lower", "upper", "residual", "iterations", "converged"}
     assert abs(payload["lambda"] - 1.0) < 1e-10
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf"])
+def test_non_finite_tolerance_rejected(tol, capsys):
+    with pytest.raises(ValueError, match="tolerance must be finite"):
+        SolverConfig(tolerance=float(tol))
+    assert main(["spectrum", "--gen", "random:8,3,10,1", f"--tol={tol}", "--json"]) == 2
+    assert "tolerance must be finite" in capsys.readouterr().err
