@@ -267,7 +267,9 @@ def cmd_verify(args) -> int:
     return EXIT_OK
 
 
-def _add_common(parser: argparse.ArgumentParser, with_input: bool = True) -> None:
+def _add_common(parser: argparse.ArgumentParser, with_input: bool = True):
+    """Add the input, solver and output flags; return the group of
+    mutually exclusive report formats, which holds ``--json``."""
     if with_input:
         group = parser.add_mutually_exclusive_group(required=True)
         group.add_argument("--in", dest="infile", metavar="PATH",
@@ -284,8 +286,8 @@ def _add_common(parser: argparse.ArgumentParser, with_input: bool = True) -> Non
                         help="seed for random-restart attempts")
     fmt = parser.add_mutually_exclusive_group()
     fmt.add_argument("--json", action="store_true", help="emit a JSON report")
-    fmt.add_argument("--csv", action="store_true", help="emit CSV (bound command)")
     parser.add_argument("--out", metavar="PATH", help="write output to a file")
+    return fmt
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -301,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_spectrum.set_defaults(func=cmd_spectrum)
 
     p_bound = sub.add_parser("bound", help="evaluate degree-based lower bounds")
-    _add_common(p_bound)
+    _add_common(p_bound).add_argument("--csv", action="store_true", help="emit CSV")
     p_bound.set_defaults(func=cmd_bound)
 
     p_blowup = sub.add_parser("blowup", help="construct and verify the blow-up")

@@ -277,8 +277,9 @@ def _edge_error(rows, n: int, r: int) -> ValueError:
 
 
 # ---------------------------------------------------------------------------
-# External formats.  Text: header "n r", one edge per line, 1-based ids,
-# '#' comments.  JSON mirror: {"n": ..., "r": ..., "edges": [[...], ...]}.
+# External formats.  Text: header "n r", one edge per line, 1-based ids;
+# a line whose first non-blank character is '#' is a comment.
+# JSON mirror: {"n": ..., "r": ..., "edges": [[...], ...]}.
 # ---------------------------------------------------------------------------
 
 
@@ -305,12 +306,34 @@ def _from_rows(rows, n: int, r: int) -> tuple[UniformHypergraph, int]:
     bad; only then does a scan find the first one."""
     ids = _id_matrix(rows, r)
     try:
-        if ids is None:
+        # an id below 1 is refused before the shift, which would wrap the
+        # smallest intp round to the largest
+        if ids is None or (len(ids) and ids.min() < 1):
             raise ValueError
         H = UniformHypergraph(n, r, ids - 1)
     except ValueError:
         raise _row_error(rows, n, r) from None
     return H, len(rows) - H.num_edges
+
+
+def _read_ids(lines: list[str], r: int) -> np.ndarray | None:
+    """The edge lines as an (m, r) intp array read in one ``np.loadtxt``
+    call, or None when that read raises, warns or finds other than r
+    columns; the caller then splits the lines and checks them row by row.
+
+    Call it on ASCII text only.  There a field that the read accepts is one
+    that ``int`` reads to the same value, and it splits fields on the same
+    whitespace as ``str.split``; ``comments=None`` keeps an inline ``#`` a
+    field, as ``str.split`` does.  Some non-ASCII characters inside a field
+    are read as digits, where ``int`` refuses them.
+    """
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ids = np.loadtxt(lines, dtype=np.intp, comments=None, ndmin=2)
+    except (ValueError, Warning):  # an unreadable field, ragged rows, a warning
+        return None
+    return ids if ids.shape[1] == r else None
 
 
 def parse_hypergraph(text: str) -> UniformHypergraph:
@@ -332,7 +355,9 @@ def parse_hypergraph(text: str) -> UniformHypergraph:
         raise FormatError(f"header must hold two integers, got {rows[0]!r}") from None
     if n < 1 or r < 2:
         raise FormatError(f"header needs n >= 1 and r >= 2, got n={n} r={r}")
-    H, dups = _from_rows(list(map(str.split, rows[1:])), n, r)
+    lines = rows[1:]
+    ids = _read_ids(lines, r) if text.isascii() else None
+    H, dups = _from_rows(list(map(str.split, lines)) if ids is None else ids, n, r)
     if dups:
         warnings.warn(f"dropped {dups} duplicate edge(s)", stacklevel=2)
     return H

@@ -126,7 +126,8 @@ class TensorOperator:
     """Apply-only view ``x -> Tx`` of a hypergraph tensor or a dense tensor.
 
     Hypergraph kinds never materialize n**r storage: the adjacency apply
-    walks the edge list, the diagonal apply scales by degrees.
+    walks a slot-major (r, m) copy of the edge list, the diagonal apply
+    scales by degrees.
     """
 
     def __init__(self, kind: str, hypergraph: UniformHypergraph | None = None,
@@ -139,8 +140,10 @@ class TensorOperator:
             self.tensor = None
             self.order = hypergraph.r
             self.dim = hypergraph.n
-            # the hypergraph's own read-only edge array, not a copy
-            self._edges = hypergraph.edge_array
+            # slot-major copy of the edges: row p lists vertex p of every
+            # edge, so each slot's values are one contiguous row
+            self._slots = np.array(hypergraph.edge_array.T, order="C")
+            self._slots.setflags(write=False)
             self._deg = hypergraph.degree_array.astype(float)
         elif kind == DENSE:
             if tensor is None:
@@ -187,36 +190,52 @@ class TensorOperator:
         return float(self.tensor.entries.min())
 
     def _edge_sum(self, contrib: np.ndarray) -> np.ndarray:
-        # bincount keeps the reduction order fixed, so applies are
-        # deterministic; without edges it returns integers, hence the cast
-        sums = np.bincount(self._edges.ravel(), weights=contrib.ravel(), minlength=self.dim)
+        # bincount over the slot-major layout adds each vertex's terms slot
+        # by slot, and in edge order within a slot; the order is fixed, so
+        # applies are deterministic.  Without edges it returns integers,
+        # hence the cast
+        sums = np.bincount(self._slots.ravel(), weights=contrib.ravel(), minlength=self.dim)
         return sums.astype(float, copy=False)
 
     @staticmethod
     def _prefix_suffix(gathered: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Per edge row, the products of the entries left and right of each slot.
+        """For a slot-major (r, m) gather, the products of each edge's
+        entries in the slots before (``lo``) and after (``hi``) each slot.
 
-        Built one column at a time, multiplying in the order of a running
+        Built one slot row at a time, multiplying in the order of a running
         product (left to right for ``lo``, right to left for ``hi``), so every
         entry rounds exactly as a cumulative product would round it.
         """
         lo = np.empty_like(gathered)
         hi = np.empty_like(gathered)
-        r = gathered.shape[1]
-        lo[:, 0] = 1.0
-        hi[:, r - 1] = 1.0
+        r = gathered.shape[0]
+        lo[0] = 1.0
+        hi[r - 1] = 1.0
         for p in range(1, r):
-            np.multiply(lo[:, p - 1], gathered[:, p - 1], out=lo[:, p])
+            np.multiply(lo[p - 1], gathered[p - 1], out=lo[p])
             q = r - 1 - p
-            np.multiply(hi[:, q + 1], gathered[:, q + 1], out=hi[:, q])
+            np.multiply(hi[q + 1], gathered[q + 1], out=hi[q])
         return lo, hi
 
     def _apply_adjacency(self, x: np.ndarray) -> np.ndarray:
-        if self._edges.shape[0] == 0:
-            return np.zeros(self.dim)
-        lo, hi = self._prefix_suffix(x[self._edges])
-        lo *= hi
-        return self._edge_sum(lo)
+        r = self.order
+        g = x[self._slots]
+        # The leave-one-out products, in place in one buffer: the prefix
+        # products left to right, then a running suffix product multiplied
+        # in right to left.  These are _prefix_suffix's multiplications in
+        # its order, less the exact ones by 1.0, so each entry is lo * hi
+        # bit for bit.
+        prod = np.empty_like(g)
+        prod[1] = g[0]
+        for p in range(2, r):
+            np.multiply(prod[p - 1], g[p - 1], out=prod[p])
+        # no prefix reads the gather's last row, so it holds the suffix
+        run = g[r - 1]
+        for q in range(r - 2, 0, -1):
+            prod[q] *= run
+            run *= g[q]
+        prod[0] = run
+        return self._edge_sum(prod)
 
     def apply(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -247,16 +266,16 @@ class TensorOperator:
         v = np.asarray(v, dtype=float)
         if x.shape != (self.dim,) or v.shape != (self.dim,):
             raise ValueError(f"vector dimensions {x.shape}, {v.shape} do not match {self.dim}")
-        gx, gv = x[self._edges], v[self._edges]
+        gx, gv = x[self._slots], v[self._slots]
         lo, hi = self._prefix_suffix(gx)
         # directional derivatives along v of the prefix and suffix products
         dlo = np.zeros_like(gx)
         dhi = np.zeros_like(gx)
         r = self.order
         for p in range(1, r):
-            dlo[:, p] = dlo[:, p - 1] * gx[:, p - 1] + lo[:, p - 1] * gv[:, p - 1]
+            dlo[p] = dlo[p - 1] * gx[p - 1] + lo[p - 1] * gv[p - 1]
             q = r - 1 - p
-            dhi[:, q] = dhi[:, q + 1] * gx[:, q + 1] + hi[:, q + 1] * gv[:, q + 1]
+            dhi[q] = dhi[q + 1] * gx[q + 1] + hi[q + 1] * gv[q + 1]
         out = self._edge_sum(dlo * hi + lo * dhi)
         if self.kind == SIGNLESS_LAPLACIAN:
             out += (r - 1) * self._deg * x ** (r - 2) * v

@@ -260,6 +260,53 @@ def prefix_suffix_cumprod(gathered):
     return lo, hi
 
 
+def edge_major_terms(H, x, v=None):
+    """The per (edge, slot) terms of the adjacency apply at x, in the
+    edge-major (m, r) layout: the product of x over the rest of the edge.
+    With v, the terms of the apply's Jacobian at x applied to v instead: the
+    product rule along each row, on the cumprod prefix and suffix products.
+    Summed per vertex (``np.bincount`` over ``H.edge_array``) they give the
+    apply and the Jacobian apply edge by edge."""
+    gx = np.asarray(x, dtype=float)[H.edge_array]
+    lo, hi = prefix_suffix_cumprod(gx)
+    if v is None:
+        return lo * hi
+    gv = np.asarray(v, dtype=float)[H.edge_array]
+    dlo = np.zeros_like(gx)
+    dhi = np.zeros_like(gx)
+    r = H.r
+    for p in range(1, r):
+        dlo[:, p] = dlo[:, p - 1] * gx[:, p - 1] + lo[:, p - 1] * gv[:, p - 1]
+        q = r - 1 - p
+        dhi[:, q] = dhi[:, q + 1] * gx[:, q + 1] + hi[:, q + 1] * gv[:, q + 1]
+    return dlo * hi + lo * dhi
+
+
+def parse_text(text):
+    """The text format parsed line by line, as the parser did before it read
+    the edge lines in one call: (n, r, canonical 0-based edges, duplicate
+    count), or the FormatError of the header or of the first bad row."""
+    rows = [line for line in map(str.strip, text.splitlines())
+            if line and not line.startswith("#")]
+    if not rows:
+        raise FormatError("empty input: missing 'n r' header line")
+    head = rows[0].split()
+    if len(head) != 2:
+        raise FormatError(f"header must be 'n r', got {rows[0]!r}")
+    try:
+        n, r = int(head[0]), int(head[1])
+    except ValueError:
+        raise FormatError(f"header must hold two integers, got {rows[0]!r}") from None
+    if n < 1 or r < 2:
+        raise FormatError(f"header needs n >= 1 and r >= 2, got n={n} r={r}")
+    edges, dups = parse_rows([line.split() for line in rows[1:]], n, r)
+    bits = np.dtype(np.intp).itemsize * 8
+    # the 1-based ids must fit, so a 0-based id at most 2^(bits-1) - 2
+    if any(v >= 2 ** (bits - 1) - 1 for edge in edges for v in edge):
+        raise FormatError(f"vertex ids must fit in {bits}-bit integers")
+    return n, r, edges, dups
+
+
 def find_odd_coloring(H):
     """Exhaustive backtracking search for an odd coloring, None if impossible.
 

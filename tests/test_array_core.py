@@ -155,6 +155,106 @@ def test_constructor_rows_fail_like_oracle(case):
     assert (got if isinstance(got, str) else got.edges) == expected
 
 
+# the one-call read of the text format against the row-by-row parser
+
+# edge lines for 3-graphs (2-graphs read them too): accepted ones, ones the
+# one-call read refuses or reads to other than r columns, and ones int() and
+# numpy read differently
+_TEXT_LINES = [
+    # well formed, in any vertex order and spacing
+    "1 2 3", "3 2 1", "12 11 10", "4 5 6", "6 5 4", "  1 2 3  ", "1\t2\t3", "1  2   3",
+    "01 02 03", "0001 2 3", "+1 2 3", "1 +2 +3",
+    # whitespace str.split splits on; splitlines breaks the line at some of them
+    "1\x0b2 3", "1\x0c2 3", "1\x1c2 3", "1\x1d2 3", "1\x1e2 3", "1\x1f2 3", "1\x852 3",
+    "1\xa02 3", "1\u20002 3", "1\u30002 3", "1\u20282 3",
+    # integers that int() reads and numpy does not
+    "1_0 2 3", "1_2 3 4", "１ 2 3", "1 2 ３", "١ ٢ ٣", "٣ 2 1",
+    # characters numpy reads as digits inside a field, where int() refuses them
+    "1ǿ2 3", "1ǿ2 3 4", "1Ӿ 2 3", "∓ 2 3",
+    # not integers
+    "1.0 2 3", "1. 2 3", ".5 2 3", "1e0 2 3", "1E0 2 3", "0x1 2 3", "0b1 2 3", "0o1 2 3",
+    "1j 2 3", "inf 2 3", "nan 2 3", "one 2 3", "1,2,3", "1, 2, 3", "1;2;3", "'1' 2 3",
+    '"1" 2 3', "1 2 3,", "1\x002 3", "1 2 3\x00", "\ufeff1 2 3", "1\u200b2 3", "++1 2 3",
+    "+-1 2 3", "--1 2 3", "- 1 2 3", "+ 2 3", "1- 2 3", "1+ 2 3",
+    # a '#' is a comment only as the first non-blank character of a line
+    "1 2 3 # tail", "1 2 3#", "1 2 #3", "1 2 3 #", "#1 2 3", "   # 1 2 3",
+    # wrong lengths
+    "1", "1 2", "1 2 3 4", "1 2 3 4 5 6", "1 2 3 4 5 6 7 8 9",
+    # repeated and out-of-range vertices
+    "1 1 2", "2 2 2", "3 1 3", "0 1 2", "-0 1 2", "1 2 13", "-1 2 3", "1 2 -3", "12 13 14",
+    "100 2 3", "4731 4732 4733",
+    # ids at and beyond the range of a 64-bit integer
+    "12345678901234567890 2 3", "9223372036854775806 2 3", "9223372036854775807 2 3",
+    "9223372036854775808 2 3", "-9223372036854775808 2 3", "-9223372036854775809 2 3",
+    "99999999999999999999999999 1 2",
+]
+
+# headers with two well-formed edge lines each; the huge n reaches the check
+# that ids fit in an intp, and n = 5000 lets a misread id pass as a vertex
+_TEXT_HEADERS = [
+    ("12 3", ["1 2 3", "4 5 6"]),
+    ("100000000000000000000 3", ["1 2 3", "4 5 6"]),
+    ("5000 2", ["1 2", "3 4"]),
+]
+
+
+def _parse_outcome(parse, text):
+    """(edges or error text, warning texts) of one parse."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = parse(text)
+        except FormatError as exc:
+            result = str(exc)
+    return result, [str(w.message) for w in caught]
+
+
+@pytest.mark.parametrize("line", _TEXT_LINES)
+def test_text_line_parses_like_row_by_row_oracle(line):
+    for header, good in _TEXT_HEADERS:
+        for body in ([line], [line, *good], [*good, line]):
+            text = "\n".join([header, *body]) + "\n"
+            got, got_warnings = _parse_outcome(parse_hypergraph, text)
+            want, _ = _parse_outcome(oracles.parse_text, text)
+            if isinstance(want, tuple):
+                n, r, edges, dups = want
+                want = UniformHypergraph(n, r, edges)
+                want_warnings = [f"dropped {dups} duplicate edge(s)"] if dups else []
+            else:
+                want_warnings = []
+            assert (got, got_warnings) == (want, want_warnings), text
+
+
+def test_well_formed_text_takes_the_one_call_read(monkeypatch):
+    H = random_hypergraph(200, 3, 1000, seed=5)
+    kinds = []
+    real = hypergraph_mod._from_rows
+
+    def spy(rows, n, r):
+        kinds.append(type(rows))
+        return real(rows, n, r)
+
+    monkeypatch.setattr(hypergraph_mod, "_from_rows", spy)
+    assert parse_hypergraph(render_hypergraph(H)) == H
+    assert kinds == [np.ndarray]
+
+
+def test_a_warning_from_the_one_call_read_counts_as_a_failure(monkeypatch):
+    # a numpy that reads "1.0" as the integer 1, with a DeprecationWarning
+    calls = []
+
+    def lenient(lines, **kwargs):
+        calls.append(lines)
+        warnings.warn("parsing an integer via a float is deprecated", DeprecationWarning)
+        return np.array([[int(float(t)) for t in line.split()] for line in lines])
+
+    monkeypatch.setattr(np, "loadtxt", lenient)
+    message = "edge ['1.0', '2', '3'] holds a non-integer vertex id"
+    with pytest.raises(FormatError, match=re.escape(message)):
+        parse_hypergraph("4 3\n1.0 2 3\n")
+    assert calls == [["1.0 2 3"]]
+
+
 # non-integer input is refused, not truncated
 
 
@@ -169,6 +269,16 @@ def test_constructor_rows_fail_like_oracle(case):
 def test_json_non_integers_rejected(text, message):
     with pytest.raises(FormatError, match=message):
         hypergraph_from_json(text)
+
+
+def test_smallest_intp_id_is_refused_not_wrapped():
+    # shifted to 0-based, -2^63 would wrap round to 2^63 - 1, a vertex of this n
+    n, low = 10**20, -(2**63)
+    message = f"edge [{low}, 2, 3] has a vertex outside 1..{n}"
+    with pytest.raises(FormatError, match=re.escape(message)):
+        hypergraph_from_json(json.dumps({"n": n, "r": 3, "edges": [[low, 2, 3]]}))
+    with pytest.raises(FormatError, match=re.escape(message)):
+        parse_hypergraph(f"{n} 3\n{low} 2 3\n")
 
 
 def test_constructor_non_integer_rejected():
@@ -262,7 +372,12 @@ def test_non_finite_shift_rejected():
             SolverConfig(shift=shift)
 
 
-# the column-at-a-time kernel and the caches
+# the slot-major kernel and the caches
+
+
+def _vertex_sums(H, terms):
+    """Edge-major per (edge, slot) terms summed per vertex, edge by edge."""
+    return np.bincount(H.edge_array.ravel(), weights=terms.ravel(), minlength=H.n)
 
 
 @pytest.mark.parametrize("r", [2, 3, 4, 5, 6])
@@ -273,17 +388,43 @@ def test_kernel_matches_cumprod_bit_for_bit(r, monkeypatch):
     x = 10.0 ** rng.uniform(-5.0, 5.0, H.n)
     v = rng.standard_normal(H.n)
     T = TensorOperator.adjacency(H)
-    for got, want in zip(T._prefix_suffix(x[T._edges]),
-                         oracles.prefix_suffix_cumprod(x[T._edges])):
-        assert np.array_equal(got, want)
+    # the slot-major prefix and suffix products are the transposed cumprod ones
+    lo, hi = oracles.prefix_suffix_cumprod(x[H.edge_array])
+    got_lo, got_hi = T._prefix_suffix(x[T._slots])
+    assert np.array_equal(got_lo, lo.T)
+    assert np.array_equal(got_hi, hi.T)
+    # every per-slot term handed to the vertex sum is the edge-major term bit
+    # for bit: the apply's in-place products are lo * hi
+    terms = []
+    real_sum = TensorOperator._edge_sum
+
+    def recorded(self, contrib):
+        terms.append(contrib.copy())
+        return real_sum(self, contrib)
+
+    monkeypatch.setattr(TensorOperator, "_edge_sum", recorded)
     ops = [TensorOperator.for_hypergraph(H, k) for k in ("adjacency", "signless-laplacian")]
-    new = [(T.apply(x), T.jacobian_apply(x, v)) for T in ops]
-    monkeypatch.setattr(TensorOperator, "_prefix_suffix",
-                        staticmethod(oracles.prefix_suffix_cumprod))
-    old = [(T.apply(x), T.jacobian_apply(x, v)) for T in ops]
-    for (a_new, j_new), (a_old, j_old) in zip(new, old):
-        assert np.array_equal(a_new, a_old)
-        assert np.array_equal(j_new, j_old)
+    got = [(op.apply(x), op.jacobian_apply(x, v)) for op in ops]
+    apply_terms, jacobian_terms = oracles.edge_major_terms(H, x), oracles.edge_major_terms(H, x, v)
+    assert np.array_equal(apply_terms, lo * hi)
+    assert len(terms) == 4
+    for k, want in enumerate([apply_terms, jacobian_terms] * 2):
+        assert np.array_equal(terms[k], want.T)
+    # Only the order of the vertex sums changed: slot by slot instead of edge
+    # by edge.  Two orders of summing the same d terms and then adding the
+    # diagonal term differ by at most 2 gamma_d times the sum of the absolute
+    # values, gamma_d = d u / (1 - d u), u the unit roundoff.
+    d = H.degree_array
+    u = np.finfo(float).eps / 2
+    gamma = d * u / (1 - d * u)
+    q_diag = [H.degree_array * x ** (r - 1), (r - 1) * H.degree_array * x ** (r - 2) * v]
+    for kind, (got_apply, got_jacobian) in zip(("adjacency", "signless-laplacian"), got):
+        for want_terms, diag, value in zip((apply_terms, jacobian_terms), q_diag,
+                                           (got_apply, got_jacobian)):
+            extra = diag if kind == "signless-laplacian" else np.zeros(H.n)
+            want = extra + _vertex_sums(H, want_terms)
+            scale = np.abs(extra) + _vertex_sums(H, np.abs(want_terms))
+            assert np.all(np.abs(value - want) <= 2 * gamma * scale)
 
 
 def test_bound_labels_components_once(tmp_path, monkeypatch, capsys):
@@ -302,11 +443,15 @@ def test_bound_labels_components_once(tmp_path, monkeypatch, capsys):
     assert calls == [13]
 
 
-def test_operator_shares_the_read_only_edge_array():
+def test_operator_slots_and_graph_arrays_are_read_only():
     H = random_hypergraph(9, 3, 12, seed=4)
     assert H.edge_array.flags.c_contiguous and H.edge_array.dtype == np.intp
     for kind in ("adjacency", "signless-laplacian"):
-        assert np.shares_memory(TensorOperator.for_hypergraph(H, kind)._edges, H.edge_array)
+        slots = TensorOperator.for_hypergraph(H, kind)._slots
+        assert slots.flags.c_contiguous and slots.dtype == np.intp
+        assert np.array_equal(slots, H.edge_array.T)
+        with pytest.raises(ValueError):
+            slots[0, 0] = 5
     with pytest.raises(ValueError):
         H.edge_array[0, 0] = 5
     with pytest.raises(ValueError):

@@ -82,6 +82,29 @@ def test_bound_csv(capsys):
     assert lines[1].startswith("gen:single_edge:3,adjacency,")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spectrum", "--gen", "single_edge:3", "--csv"],
+        ["blowup", "--gen", "single_edge:3", "--csv"],
+        ["verify", "--csv"],
+    ],
+)
+def test_csv_is_refused_outside_bound(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --csv" in capsys.readouterr().err
+
+
+def test_inline_hash_is_a_field_not_a_comment(tmp_path, capsys):
+    path = tmp_path / "tail.hg"
+    path.write_text("3 3\n1 2 3 # tail\n")
+    code, _, err = run(capsys, ["spectrum", "--in", str(path)])
+    assert code == 2
+    assert "edge ['1', '2', '3', '#', 'tail'] must list exactly 3 vertices" in err
+
+
 def test_input_file_and_bad_file(tmp_path, capsys):
     good = tmp_path / "good.hg"
     good.write_text(render_hypergraph(loose_path(3, 2)))
