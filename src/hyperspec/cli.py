@@ -281,7 +281,7 @@ def _add_common(parser: argparse.ArgumentParser, with_input: bool = True):
     parser.add_argument("--max-iter", dest="max_iter", type=int,
                         default=DEFAULT_MAX_ITERATIONS, help="iteration cap")
     parser.add_argument("--shift", type=float, default=None,
-                        help="diagonal shift (default per operator kind)")
+                        help="diagonal shift added to the operator (default 1)")
     parser.add_argument("--seed", type=int, default=None,
                         help="seed for random-restart attempts")
     fmt = parser.add_mutually_exclusive_group()

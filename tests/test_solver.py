@@ -1,9 +1,12 @@
 """Tests for the power-iteration solver and its bracket guarantees."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from hyperspec import solver
@@ -255,6 +258,72 @@ def test_nonconvergence_diagnostic():
     )
     assert not pair.converged
     assert pair.lower <= 2.0 <= pair.upper  # bracket still encloses max degree
+
+
+def test_reducible_q_ends_unconverged_without_warnings():
+    # with a zero shift the isolated vertex's entry drops to 0 after one
+    # step, and the ratio and step that follow are nan
+    T = TensorOperator.signless_laplacian(UniformHypergraph(4, 3, [(0, 1, 2)]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pair = power_iterate(T, SolverConfig(shift=0, max_iterations=50))
+        assert not pair.converged
+        pair = power_iterate(T, SolverConfig(max_iterations=50))
+    assert not pair.converged
+    assert pair.lower <= 2.0 <= pair.upper
+
+
+@st.composite
+def _connected_graphs(draw):
+    """A loose path through every vertex plus a few random edges."""
+    r = draw(st.integers(2, 5))
+    length = draw(st.integers(1, 5))
+    n = length * (r - 1) + 1
+    edge = st.lists(st.integers(0, n - 1), min_size=r, max_size=r, unique=True)
+    extra = draw(st.lists(edge, max_size=6))
+    return UniformHypergraph(n, r, loose_path(r, length).edges + tuple(map(tuple, extra)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    _connected_graphs(),
+    st.sampled_from([TensorOperator.adjacency, TensorOperator.signless_laplacian]),
+    st.sampled_from([None, 0.5, 0.0]),
+)
+def test_power_steps_never_raise_the_upper_side(H, make_operator, shift):
+    # the solver is deterministic, so the run capped at k iterations repeats
+    # the first k steps of every longer run; below STALL_WINDOW no
+    # Newton-Noda step is taken (those can raise the upper side)
+    caps = range(1, 40)
+    assert max(caps) < solver.STALL_WINDOW
+    T = make_operator(H)
+    uppers = [power_iterate(T, SolverConfig(shift=shift, max_iterations=k)).upper for k in caps]
+    for before, after in zip(uppers, uppers[1:]):
+        assert after <= before + 4 * np.spacing(before)
+
+
+def test_q_step_iteration_count():
+    # the plain power step takes 116 iterations here
+    pair = spectral_radius(random_hypergraph(200, 3, 1000, 1), "q")
+    assert pair.converged
+    assert pair.iterations <= 70
+
+
+STAR_1_3 = UniformHypergraph(4, 2, [(0, 1), (0, 2), (0, 3)])
+K_2_3 = UniformHypergraph(5, 2, [(i, j) for i in (0, 1) for j in (2, 3, 4)])
+
+
+@pytest.mark.parametrize(
+    "H,rho,shift",
+    [(STAR_1_3, 4.0, None), (K_2_3, 5.0, None), (STAR_1_3, 4.0, 0.0)],
+    ids=["star", "K23", "star-unshifted"],
+)
+def test_q_on_bipartite_graphs(H, rho, shift):
+    # bipartite graphs are where an undamped step oscillates; the default
+    # shift of 1 damps the signless Laplacian step
+    pair = spectral_radius(H, "q", SolverConfig(shift=shift))
+    assert pair.converged
+    assert pair.lower <= rho <= pair.upper
 
 
 def test_shift_override_and_seeded_restarts():
