@@ -15,15 +15,34 @@ positive shift, 1 by default for every kind but the degree diagonal,
 guarantees that the plain step converges for weakly irreducible operators,
 i.e. for connected hypergraphs, and is the only damping of the signless
 Laplacian step (without it, a star K_{1,3} takes 205 iterations instead of
-2); disconnected instances are solved per component in
-:func:`spectral_radius`.
+2).
+
+A disconnected hypergraph is iterated once, over all of its components with
+edges at once.  Its adjacency and signless Laplacian operators are block
+diagonal over the components, so each component is a segment of the
+iterate, read from the hypergraph's cached component labels: it has its own
+bracket (the smallest and the largest ratio over its vertices), its own
+r-norm normalization and, in the Q step, its own upper side lam.  The
+spectral radius is the largest component radius, so the run's bracket is
+the largest lower side and the largest upper side, and the run converges
+when those two are within the tolerance; the winner is the segment with the
+largest lower side, ties to the one with the smallest vertex.  Vertices
+without edges are left out (their radius is 0), and an edgeless hypergraph
+gets value 0 without a solve.  A connected hypergraph is one segment, and
+every other operator kind is one segment over all its vertices.
 
 The power iteration (Ng, Qi & Zhou 2009) contracts slowly when the spectral
 gap is small, as on long loose paths.  For hypergraph operators the bracket
 gap is checked every ``STALL_WINDOW`` iterations; if it shrank by less than
 half, the run switches to Newton-Noda steps (Liu, Guo & Lin 2017), which
-converge in a handful of steps.  Every step, of either kind, counts as one
-iteration, and the bracket always comes from the ratios at the iterate.
+converge in a handful of steps.  Each vertex's lam is its segment's upper
+side, so the Jacobian system is block diagonal and one conjugate gradient
+solve covers every segment.  A segment whose upper side is below the best
+lower side can no longer move the run's bracket; it is frozen for the step
+(its entries stay, and its stale bracket still holds), since its block,
+long converged, is nearly singular and would spoil the step for all.  Every
+step, of either kind, counts as one iteration, and the bracket always comes
+from the ratios at the iterate.
 """
 
 from __future__ import annotations
@@ -151,30 +170,110 @@ def _conjugate_gradient(matvec, b: np.ndarray, diag: np.ndarray) -> np.ndarray:
     return x
 
 
-def _newton_noda_step(T: TensorOperator, x: np.ndarray, lam: float, xp: np.ndarray):
+@dataclass
+class _Segments:
+    """The vertices of an operator of order ``order`` grouped into
+    independent blocks.
+
+    ``seg`` gives the segment of every vertex and ``starts`` the first vertex
+    of each; every segment is a contiguous slice.  ``seg=None`` is one
+    segment over all vertices, whose sums and norms are computed as for a
+    plain vector, so a connected input keeps the arithmetic of an
+    unsegmented iteration.
+    """
+
+    order: int
+    seg: np.ndarray | None = None
+    starts: np.ndarray | None = None
+
+    def brackets(self, ratios: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The smallest and the largest ratio of every segment."""
+        if self.seg is None:
+            return np.array([ratios.min()]), np.array([ratios.max()])
+        return np.minimum.reduceat(ratios, self.starts), np.maximum.reduceat(ratios, self.starts)
+
+    def sums(self, values: np.ndarray) -> np.ndarray:
+        if self.seg is None:
+            return np.array([values.sum()])
+        return np.bincount(self.seg, weights=values, minlength=len(self.starts))
+
+    def spread(self, per_segment: np.ndarray):
+        """A per-segment array read per vertex (a scalar for one segment)."""
+        return per_segment[0] if self.seg is None else per_segment[self.seg]
+
+    def normalize(self, x: np.ndarray) -> None:
+        """Scale every segment of x to r-norm 1, in place."""
+        r = self.order
+        if self.seg is None:
+            x /= r_norm(x, r)
+        else:
+            x /= self.spread(self.sums(x**r) ** (1.0 / r))
+
+
+def _split(T: TensorOperator) -> tuple[TensorOperator, np.ndarray | None, _Segments]:
+    """The operator to iterate on, the vertex of T behind each of its
+    vertices (None for one segment, the identity), and its segments.
+
+    An adjacency or signless Laplacian operator splits into the components
+    of its hypergraph that have edges, read from the cached component
+    labels and ordered by smallest vertex; vertices without edges are left
+    out.  Any other operator, and a connected hypergraph, is one segment.
+    """
+    if T.kind not in _RADIUS_KINDS or not T.hypergraph._labels.any():
+        return T, None, _Segments(T.order)
+    H = T.hypergraph
+    labels = H._labels
+    keep = np.flatnonzero(H.degree_array)
+    vertices = keep[np.argsort(labels[keep], kind="stable")]
+    grouped = labels[vertices]
+    starts = np.flatnonzero(np.r_[True, grouped[1:] != grouped[:-1]])
+    sizes = np.diff(np.r_[starts, len(vertices)])
+    segments = _Segments(T.order, np.repeat(np.arange(len(starts)), sizes), starts)
+    new_id = np.empty(H.n, dtype=np.intp)
+    new_id[vertices] = np.arange(len(vertices))
+    # new ids rise with the old ones inside a component, so every relabeled
+    # edge is still a sorted row
+    sub = UniformHypergraph(len(vertices), H.r, new_id[H.edge_array])
+    return TensorOperator.for_hypergraph(sub, T.kind), vertices, segments
+
+
+def _newton_noda_step(T: TensorOperator, segs: _Segments, x: np.ndarray, lam,
+                      xp: np.ndarray, frozen: np.ndarray | None):
     """One Newton-Noda step (Liu, Guo & Lin, Numer. Math. 2017) from x > 0.
 
-    With lam the upper ratio bound, M = (r-1) lam diag(x^(r-2)) - J(x) is a
-    symmetric nonsingular M-matrix while lam > rho, so ``M w = x^[r-1]`` has
-    a positive solution.  Returns the next iterate before normalization, or
-    None when the computed w is not finite and strictly positive.
+    With lam the upper ratio bound of each vertex's segment,
+    M = (r-1) diag(lam x^(r-2)) - J(x) is a symmetric M-matrix, block
+    diagonal over the segments, and nonsingular while lam > rho on every
+    block, so ``M w = x^[r-1]`` has a positive solution; one conjugate
+    gradient solve covers all blocks.  Vertices in the ``frozen`` mask (None
+    for none) keep their entries: their right-hand side is 0, so the solve
+    leaves them at 0 and never reads their block.  Returns the next iterate
+    before normalization, or None when the computed w is not finite and
+    strictly positive on the vertices that move.
     """
     r = T.order
     scale = (r - 1) * lam * x ** (r - 2)
     if not np.all(scale > 0):
         return None
-    w = _conjugate_gradient(lambda v: scale * v - T.jacobian_apply(x, v), xp, scale)
+    rhs = xp if frozen is None else np.where(frozen, 0.0, xp)
+    w = _conjugate_gradient(lambda v: scale * v - T.jacobian_apply(x, v), rhs, scale)
+    if frozen is not None:
+        # x itself stands in for w, so that every segment sum is positive
+        w[frozen] = x[frozen]
     if not (np.all(np.isfinite(w)) and np.all(w > 0)):
         return None
-    return (r - 2) / (r - 1) * x + float(x.sum()) / ((r - 1) * float(w.sum())) * w
+    step = (r - 2) / (r - 1) * x + segs.spread(segs.sums(x) / ((r - 1) * segs.sums(w))) * w
+    if frozen is not None:
+        step[frozen] = x[frozen]
+    return step
 
 
-def _iterate(T: TensorOperator, start: np.ndarray, shift: float,
+def _iterate(T: TensorOperator, segs: _Segments, start: np.ndarray, shift: float,
              tolerance: float, max_iterations: int):
     r = T.order
     power = r - 1
-    x = start / r_norm(start, r)
-    lam_lo = lam_hi = float("nan")
+    x = np.array(start, dtype=float)
+    segs.normalize(x)
     # Newton-Noda state: stall checks run until one switches newton on; it
     # stays on until a step gives no positive w or the gap stops shrinking
     # (at rounding level), and then the power iteration finishes the run
@@ -187,37 +286,47 @@ def _iterate(T: TensorOperator, start: np.ndarray, shift: float,
     for it in range(1, max_iterations + 1):
         xp = x ** power
         y = T.apply(x) + shift * xp
-        # zero iterate entries only arise for reducible operators with a zero
-        # shift; the resulting nan/inf bracket never passes the gap test, so
-        # such runs end as non-convergence diagnostics
+        # zero iterate entries only arise for reducible operators (a
+        # degree-diagonal or dense one) with a zero shift, or by underflow;
+        # the resulting nan/inf bracket never passes the gap test, so such
+        # runs end as non-convergence diagnostics
         with np.errstate(divide="ignore", invalid="ignore"):
             ratios = y / xp
-        lam_lo = float(ratios.min())
-        lam_hi = float(ratios.max())
+        lo, hi = segs.brackets(ratios)
+        lam_lo, lam_hi = lo.max(), hi.max()
         gap = lam_hi - lam_lo
         if gap <= tolerance:
-            return x, lam_lo, lam_hi, it, True
+            return x, lo, hi, it, True
         if may_switch and it % STALL_WINDOW == 0:
             newton = gap > 0.5 * checked_gap
             may_switch = not newton
             checked_gap = gap
         if newton:
-            step = _newton_noda_step(T, x, lam_hi - shift, xp) if gap < newton_gap else None
+            step = None
+            if gap < newton_gap:
+                # a segment whose upper side is below the best lower side
+                # no longer moves the bracket, and its stale bracket still
+                # holds; near convergence its M block is nearly singular
+                stale = hi < lam_lo
+                frozen = segs.spread(stale) if stale.any() else None
+                step = _newton_noda_step(T, segs, x, segs.spread(hi) - shift, xp, frozen)
             newton_gap = gap
             if step is not None:
-                x = step / r_norm(step, r)
+                x = step
+                segs.normalize(x)
                 continue
             newton = False
         if deg is not None:
-            # every denominator is at least the shift; with a zero shift a
-            # reducible operator can zero one, and the nan or inf entries
-            # that follow end the run unconverged, as for the ratios above
+            # every denominator is at least the shift, and positive inside a
+            # component with edges unless an entry underflows; the nan or
+            # inf entries that would follow end the run unconverged, as for
+            # the ratios above
             with np.errstate(divide="ignore", invalid="ignore"):
                 y -= deg * xp
-                y /= lam_hi - deg
+                y /= segs.spread(hi) - deg
         x = y ** (1.0 / power)
-        x /= r_norm(x, r)
-    return x, lam_lo, lam_hi, max_iterations, False
+        segs.normalize(x)
+    return x, lo, hi, max_iterations, False
 
 
 def power_iterate(T: TensorOperator, cfg: SolverConfig | None = None) -> EigenPair:
@@ -226,35 +335,54 @@ def power_iterate(T: TensorOperator, cfg: SolverConfig | None = None) -> EigenPa
     Starts from the normalized all-ones vector.  On non-convergence the
     returned pair carries ``converged=False`` together with the last
     bracket, which still encloses the spectral radius.
+
+    An adjacency or signless Laplacian operator is iterated once over all
+    components of its hypergraph that have edges, each a segment with its
+    own bracket and normalization (see the module docstring).  The winner is
+    the segment with the largest lower side, ties to the one with the
+    smallest vertex; the vector is its Perron vector with zeros elsewhere.
+    Without edges the pair is closed form: value 0, bracket [0, 0], one
+    iteration and the vector e_0.
     """
     cfg = cfg or SolverConfig()
     if T.kind == DENSE and not T.nonnegative:
         raise ValueError("dense operator has negative entries; solver rejects it")
     shift = default_shift(T.kind) if cfg.shift is None else cfg.shift
-    starts = [np.ones(T.dim)]
+    if T.kind in _RADIUS_KINDS and T.hypergraph.num_edges == 0:
+        e0 = np.zeros(T.dim)
+        e0[0] = 1.0
+        return EigenPair(value=0.0, vector=e0, residual=0.0, iterations=1,
+                         lower=0.0, upper=0.0, converged=True)
+    S, vertices, segs = _split(T)
+    starts = [np.ones(S.dim)]
     if cfg.seed is not None:
         rng = np.random.default_rng(cfg.seed)
-        starts.extend(rng.random(T.dim) + 0.5 for _ in range(2))
+        starts.extend(rng.random(S.dim) + 0.5 for _ in range(2))
     best = None
     total_iterations = 0
     for start in starts:
-        x, lo, hi, used, ok = _iterate(T, start, shift, cfg.tolerance, cfg.max_iterations)
+        x, lo, hi, used, ok = _iterate(S, segs, start, shift, cfg.tolerance, cfg.max_iterations)
         total_iterations += used
-        if best is None or hi - lo < best[2] - best[1]:
-            best = (x, lo, hi)
+        if best is None or hi.max() - lo.max() < best[2] - best[1]:
+            best = (x, lo.max(), hi.max(), int(np.argmax(lo)))
         if ok:
             break
-    x, lo, hi = best
+    x, lo, hi, winner = best
     converged = hi - lo <= cfg.tolerance
-    value = 0.5 * (lo + hi) - shift
+    value = float(0.5 * (lo + hi) - shift)
+    if vertices is not None:
+        mine = segs.seg == winner
+        vector = np.zeros(T.dim)
+        vector[vertices[mine]] = x[mine]
+        x = vector
     return EigenPair(
         value=value,
         vector=x,
         residual=eigen_residual(T, value, x),
         iterations=total_iterations,
-        lower=lo - shift,
-        upper=hi - shift,
-        converged=converged,
+        lower=float(lo - shift),
+        upper=float(hi - shift),
+        converged=bool(converged),
     )
 
 
@@ -269,50 +397,19 @@ def spectral_radius(H: UniformHypergraph, kind: str = ADJACENCY,
                     cfg: SolverConfig | None = None) -> EigenPair:
     """Spectral radius of the adjacency or signless Laplacian tensor of H.
 
-    Disconnected hypergraphs are solved per component and the maximum is
-    reported, with the winning component's vector embedded into the full
-    dimension (zeros elsewhere); ties go to the lowest-indexed component.
-    The bracket is the largest component lower and upper bound, which
-    encloses the maximum of the component radii even when the winner's
-    bracket does not.  Isolated vertices contribute 0 without a solve: their
-    pair is what :func:`power_iterate` returns on a one-vertex edgeless
-    graph (value 0, bracket [0, 0], one iteration, vector [1]).
+    One :func:`power_iterate` call on the operator of H.  On a disconnected
+    H it iterates all components with edges at once, each with its own
+    bracket; the reported bracket is the largest lower and the largest upper
+    side, which encloses the maximum of the component radii, and the value
+    its midpoint.  The vector is the winner's (the component with the
+    largest lower side, ties to the one with the smallest vertex), embedded
+    with zeros elsewhere; ``iterations`` counts the steps of the one batched
+    run.  Newton-Noda steps freeze every component whose upper side is below
+    the best lower side.  Vertices without edges contribute 0 and are never
+    iterated; an edgeless H gets value 0, bracket [0, 0], one iteration and
+    the vector e_0.
     """
-    kind = _resolve_kind(kind)
-    cfg = cfg or SolverConfig()
-    if H.is_connected():
-        return power_iterate(TensorOperator.for_hypergraph(H, kind), cfg)
-    best_pair = None
-    best_vertices: tuple[int, ...] = ()
-    total_iterations = 0
-    all_converged = True
-    lower = upper = float("-inf")
-    isolated = EigenPair(value=0.0, vector=np.ones(1), residual=0.0, iterations=1,
-                         lower=0.0, upper=0.0, converged=True)
-    for comp in H.components():
-        if comp.graph.num_edges == 0:
-            pair = isolated
-        else:
-            pair = power_iterate(TensorOperator.for_hypergraph(comp.graph, kind), cfg)
-        total_iterations += pair.iterations
-        all_converged = all_converged and pair.converged
-        lower = max(lower, pair.lower)
-        upper = max(upper, pair.upper)
-        if best_pair is None or pair.value > best_pair.value:
-            best_pair = pair
-            best_vertices = comp.vertices
-    vector = np.zeros(H.n)
-    vector[list(best_vertices)] = best_pair.vector
-    full_op = TensorOperator.for_hypergraph(H, kind)
-    return EigenPair(
-        value=best_pair.value,
-        vector=vector,
-        residual=eigen_residual(full_op, best_pair.value, vector),
-        iterations=total_iterations,
-        lower=lower,
-        upper=upper,
-        converged=all_converged,
-    )
+    return power_iterate(TensorOperator.for_hypergraph(H, _resolve_kind(kind)), cfg)
 
 
 def perron_vector_check(H: UniformHypergraph, pair: EigenPair, kind: str = ADJACENCY,

@@ -13,7 +13,13 @@ from itertools import combinations, permutations
 
 import numpy as np
 
-from hyperspec import FormatError, UniformHypergraph, random_hypergraph
+from hyperspec import (
+    FormatError,
+    TensorOperator,
+    UniformHypergraph,
+    power_iterate,
+    random_hypergraph,
+)
 
 
 def dense_adjacency(H):
@@ -229,6 +235,31 @@ def components(n, edges):
         local = tuple(tuple(relabel[v] for v in edge) for edge in edges if edge[0] in members)
         out.append((tuple(group), local))
     return out
+
+
+def solve_components(H, kind, cfg):
+    """The spectral radius of H by one solve per component, as
+    ``spectral_radius`` computed it before it batched the components.
+
+    Returns (value, lower, upper, iterations, converged, vector): the
+    largest component value, the largest lower and upper sides, the summed
+    iterations, whether every solve converged, and the winner's vector
+    embedded with zeros elsewhere (ties to the component with the smallest
+    vertex).
+    """
+    best, vertices = None, ()
+    iterations, converged = 0, True
+    lower = upper = float("-inf")
+    for comp in H.components():
+        pair = power_iterate(TensorOperator.for_hypergraph(comp.graph, kind), cfg)
+        iterations += pair.iterations
+        converged = converged and pair.converged
+        lower, upper = max(lower, pair.lower), max(upper, pair.upper)
+        if best is None or pair.value > best.value:
+            best, vertices = pair, comp.vertices
+    vector = np.zeros(H.n)
+    vector[list(vertices)] = best.vector
+    return best.value, lower, upper, iterations, converged, vector
 
 
 def parse_rows(raw_edges, n, r):

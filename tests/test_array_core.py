@@ -1,6 +1,6 @@
 """The array-backed hypergraph core against the tuple implementation it
-replaced (kept in ``oracles``), its caches, and the closed form for
-isolated vertices."""
+replaced (kept in ``oracles``), its caches, and the batched solve of
+disconnected inputs against one solve per component."""
 
 import json
 import os
@@ -24,12 +24,12 @@ from hyperspec import (
     hypergraph_from_json,
     loose_path,
     parse_hypergraph,
-    power_iterate,
     random_hypergraph,
     render_hypergraph,
     spectral_radius,
 )
 from hyperspec import hypergraph as hypergraph_mod
+from hyperspec import solver
 from hyperspec.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -316,24 +316,52 @@ def test_constructor_rows_must_be_sequences(rows):
         UniformHypergraph(3, 3, rows)
 
 
-# isolated vertices are accounted for in closed form
+# disconnected inputs: one batched solve against one solve per component
 
 
-def _solve_every_component(H, kind, cfg):
-    """spectral_radius by hand, with a real solve for every component."""
-    best, vertices = None, ()
-    iterations, converged = 0, True
-    lower = upper = float("-inf")
-    for comp in H.components():
-        pair = power_iterate(TensorOperator.for_hypergraph(comp.graph, kind), cfg)
-        iterations += pair.iterations
-        converged = converged and pair.converged
-        lower, upper = max(lower, pair.lower), max(upper, pair.upper)
-        if best is None or pair.value > best.value:
-            best, vertices = pair, comp.vertices
-    vector = np.zeros(H.n)
-    vector[list(vertices)] = best.vector
-    return best.value, lower, upper, iterations, converged, vector
+def _check_against_component_solves(H, kind, cfg):
+    pair = spectral_radius(H, kind, cfg)
+    value, lower, upper, _, _, _ = oracles.solve_components(H, kind, cfg)
+    assert pair.converged
+    # both brackets hold in exact arithmetic; summed in another order, a
+    # closed one can land a few ulps off (K_{1,4}: Q gives [5 - 2^-50] once
+    # batched, [5] alone)
+    slack = 8 * np.spacing(max(abs(upper), 1.0))
+    assert pair.lower <= upper + slack and lower <= pair.upper + slack
+    assert abs(pair.value - value) <= 2 * cfg.tolerance
+    # the vector is one component's, zero elsewhere, with r-norm 1
+    support = [group for group, _ in oracles.components(H.n, H.edges)
+               if np.all(pair.vector[list(group)] > 0)]
+    assert len(support) == 1
+    assert np.count_nonzero(pair.vector) == len(support[0])
+    assert abs(np.sum(pair.vector**H.r) - 1.0) < 1e-12
+
+
+@st.composite
+def _shattered_graphs(draw):
+    """Isolated vertices beside up to four tiny groups of random edges, or
+    beside none (an edgeless graph), relabeled at random."""
+    r = draw(st.integers(2, 5))
+    edges, n = [], 0
+    for _ in range(draw(st.integers(0, 4))):
+        size = draw(st.integers(r, r + 3))
+        edge = st.lists(st.integers(n, n + size - 1), min_size=r, max_size=r, unique=True)
+        edges += draw(st.lists(edge, min_size=1, max_size=4))
+        n += size
+    n += draw(st.integers(0 if edges else 1, 30))
+    relabel = draw(st.permutations(range(n)))
+    return UniformHypergraph(n, r, [[relabel[v] for v in e] for e in edges])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    _shattered_graphs(),
+    st.sampled_from(["adjacency", "signless-laplacian"]),
+    st.sampled_from([None, 0.5]),
+    st.sampled_from([None, 3]),
+)
+def test_batched_solve_matches_component_oracle(H, kind, shift, seed):
+    _check_against_component_solves(H, kind, SolverConfig(shift=shift, seed=seed))
 
 
 @pytest.mark.parametrize("kind", ["adjacency", "signless-laplacian"])
@@ -351,11 +379,7 @@ def _solve_every_component(H, kind, cfg):
     ids=["isolated", "edgeless"],
 )
 def test_isolated_closed_form_matches_real_solves(H, kind, cfg):
-    pair = spectral_radius(H, kind, cfg)
-    value, lower, upper, iterations, converged, vector = _solve_every_component(H, kind, cfg)
-    assert (pair.value, pair.lower, pair.upper) == (value, lower, upper)
-    assert (pair.iterations, pair.converged) == (iterations, converged)
-    assert np.array_equal(pair.vector, vector)
+    _check_against_component_solves(H, kind, cfg)
 
 
 def test_isolated_vertices_share_one_graph():
@@ -441,6 +465,28 @@ def test_bound_labels_components_once(tmp_path, monkeypatch, capsys):
     assert main(["bound", "--in", str(path), "--json"]) == 0
     capsys.readouterr()
     assert calls == [13]
+
+
+def test_spectrum_solves_a_disconnected_input_once(tmp_path, monkeypatch, capsys):
+    calls = []
+    real_solve, real_components = solver.power_iterate, UniformHypergraph.components
+
+    def counted_solve(*args, **kwargs):
+        calls.append("power_iterate")
+        return real_solve(*args, **kwargs)
+
+    def counted_components(self):
+        calls.append("components")
+        return real_components(self)
+
+    monkeypatch.setattr(solver, "power_iterate", counted_solve)
+    monkeypatch.setattr(UniformHypergraph, "components", counted_components)
+    H = UniformHypergraph(12, 3, ((0, 1, 3), (1, 3, 4), (5, 6, 8), (8, 9, 10)))
+    path = tmp_path / "shattered.hg"
+    path.write_text(render_hypergraph(H))
+    assert main(["spectrum", "--in", str(path), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["result"]["converged"]
+    assert calls == ["power_iterate"]
 
 
 def test_operator_slots_and_graph_arrays_are_read_only():

@@ -161,9 +161,13 @@ def test_spectral_radius_q_single_edge():
 
 
 def test_spectral_radius_empty():
-    pair = spectral_radius(UniformHypergraph(3, 3), "adjacency")
-    assert pair.value == 0.0
-    assert pair.converged
+    # closed form, no solve, for any n
+    for n in (1, 2, 3, 40):
+        for kind in ("adjacency", "q"):
+            pair = spectral_radius(UniformHypergraph(n, 3), kind)
+            assert (pair.value, pair.lower, pair.upper) == (0.0, 0.0, 0.0)
+            assert pair.converged and pair.iterations == 1
+            assert np.array_equal(pair.vector, np.eye(n)[0])
 
 
 def test_isolated_vertices_contribute_zero():
@@ -260,17 +264,47 @@ def test_nonconvergence_diagnostic():
     assert pair.lower <= 2.0 <= pair.upper  # bracket still encloses max degree
 
 
-def test_reducible_q_ends_unconverged_without_warnings():
-    # with a zero shift the isolated vertex's entry drops to 0 after one
-    # step, and the ratio and step that follow are nan
+def test_reducible_q_converges_without_warnings():
+    # the isolated vertex is no part of the iteration, so no entry of the
+    # iterate underflows to 0 and no ratio is 0/0
     T = TensorOperator.signless_laplacian(UniformHypergraph(4, 3, [(0, 1, 2)]))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        pair = power_iterate(T, SolverConfig(shift=0, max_iterations=50))
-        assert not pair.converged
-        pair = power_iterate(T, SolverConfig(max_iterations=50))
-    assert not pair.converged
-    assert pair.lower <= 2.0 <= pair.upper
+        pairs = [power_iterate(T, SolverConfig(shift=shift)) for shift in (None, 0)]
+    for pair in pairs:
+        assert pair.converged
+        assert math.isfinite(pair.lower) and math.isfinite(pair.upper)
+        assert pair.lower <= 2.0 <= pair.upper
+        assert np.array_equal(pair.vector > 0, [True, True, True, False])
+
+
+def _path_beside_small_components(length):
+    """loose_path(3, length) beside loose_path(3, 2), a single edge and two
+    isolated vertices."""
+    path = loose_path(3, length)
+    n = path.n
+    small = ((n, n + 1, n + 2), (n + 2, n + 3, n + 4), (n + 5, n + 6, n + 7))
+    return UniformHypergraph(n + 10, 3, path.edges + small)
+
+
+@pytest.mark.parametrize(
+    "length,kind,summed",
+    [(200, "adjacency", 223), (200, "q", 337), (30, "adjacency", 1714), (30, "q", 1653)],
+)
+def test_newton_noda_finish_across_segments(length, kind, summed):
+    # `summed` is what one solve per component took in all.  On the long
+    # path the finish runs while the small components have long converged;
+    # unless their blocks are frozen, the nearly singular M blocks stop the
+    # finish, and the power iteration needs about 49k (A) and 56k (Q) steps
+    H = _path_beside_small_components(length)
+    pair = spectral_radius(H, kind)
+    assert pair.converged
+    assert pair.iterations <= summed
+    assert pair.lower <= pair.value <= pair.upper
+    if kind == "adjacency":
+        assert pair.lower <= rho_loose_path(3, length) <= pair.upper
+    path_n = loose_path(3, length).n
+    assert np.all(pair.vector[:path_n] > 0) and not np.any(pair.vector[path_n:])
 
 
 @st.composite
