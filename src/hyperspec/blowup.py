@@ -4,8 +4,11 @@ The blow-up lives on vertex pairs (i, j) with i a base vertex and j a
 label in {0..r-1}; a blow-up edge combines a base edge with one of the r!
 ways to hand out distinct labels.  Its adjacency tensor factors as the
 direct product of the base adjacency with the all-distinct-labels tensor,
-and both spectral radii scale by (r-1)!.  The checks below exercise those
-identities numerically with independently computed sides.
+and both spectral radii scale by (r-1)!.  The two apply identities are
+decided exactly, from the integer edge sets and degrees; the radii are
+solved independently on both sides.  Random trial vectors that compare the
+apply kernels numerically run only in :func:`check_product_identity` and
+:func:`check_q_identities`.
 """
 
 from __future__ import annotations
@@ -126,7 +129,9 @@ def kronecker_adjacency_apply(H: UniformHypergraph, w) -> np.ndarray:
 
 @dataclass
 class ProductIdentityCheck:
-    """Result of comparing blow-up adjacency applies against the product."""
+    """Result of the blow-up adjacency identity: the exact decision, plus
+    the worst error and the first failing vector of the trial applies (0
+    and None without trials)."""
 
     ok: bool
     max_relative_error: float
@@ -143,56 +148,62 @@ def _relative_max_error(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def _identity_trials(H, tilde, trials, seed, rtol) -> tuple[ProductIdentityCheck, bool, float]:
-    """Both apply identities of the blow-up ``tilde``, on the same vectors.
+    """Both apply identities of the blow-up ``tilde``, decided exactly.
 
     Its adjacency must equal the product (base adjacency) x (all-distinct
-    labels), and its signless Laplacian (r-1)! (degree x unit) plus that
-    product, so each trial applies the product once, through
-    :func:`kronecker_adjacency_apply`; the degree term is diagonal, so it is
-    applied as a vector.  The product is also compared with the blow-up
-    entry by entry, from its edge set.  Returns the product check, then
-    whether the signless Laplacian identity held and its worst error up to
-    its first failure.  The loop ends early only once both have failed.
+    labels).  Both tensors put 1/(r-1)! on their support, so that identity
+    is the equality of the two supports, read from the edge set through the
+    inverse map: an edge over an edge of H with all-distinct labels lies in
+    the product's support, which has r! m edges, and the edges of tilde are
+    distinct, so r! m of them fill it.  Its signless Laplacian must equal
+    (r-1)! (degree x unit) plus that product; off the diagonal this is the
+    adjacency identity again, and on it the integer identity
+    deg_tilde = (r-1)! repeat(d, r).
+
+    ``trials`` random vectors (none for 0) then cross-check the two apply
+    kernels numerically, applying the product through
+    :func:`kronecker_adjacency_apply` and the diagonal degree term as a
+    vector; a trial can only turn a flag false.  Returns the product check,
+    then whether the signless Laplacian identity held and its worst trial
+    error up to the first failing trial.  The loop ends early only once
+    both trial comparisons have failed.
     """
     r, rn = H.r, tilde.n
-    lhs_adjacency = TensorOperator.adjacency(tilde)
-    lhs_signless = TensorOperator.signless_laplacian(tilde)
-    scaled_deg = math.factorial(r - 1) * np.repeat(H.degree_array.astype(float), r)
-    # Entrywise, through the inverse map: an edge over an edge of H with
-    # all-distinct labels lies in the product's support, which has r! m
-    # edges.  The edges of tilde are distinct, so r! m of them fill that
-    # support, and both tensors put 1/(r-1)! on it.
     base, labels = np.divmod(tilde.edge_array, r)
-    entrywise_ok = (
+    product_ok = (
         rn == r * H.n
         and np.array_equal(
             base[np.lexsort(base.T[::-1])], np.repeat(H.edge_array, math.factorial(r), axis=0)
         )
         and bool(np.all(np.sort(labels, axis=1) == np.arange(r)))
     )
-    rng = np.random.default_rng(seed)
+    scaled_deg = math.factorial(r - 1) * np.repeat(H.degree_array, r)
+    q_ok = product_ok and np.array_equal(tilde.degree_array, scaled_deg)
     product_worst = apply_worst = 0.0
     witness = None
     apply_ok = True
-    for _ in range(trials):
-        w = rng.standard_normal(rn)
-        product_w = kronecker_adjacency_apply(H, w)
-        if witness is None:
-            err = _relative_max_error(lhs_adjacency.apply(w), product_w)
-            product_worst = max(product_worst, err)
-            if err > rtol:
-                witness = w
-        if apply_ok:
-            degree_w = scaled_deg * w ** (r - 1)
-            err = _relative_max_error(lhs_signless.apply(w), degree_w + product_w)
-            apply_worst = max(apply_worst, err)
-            if apply_worst > rtol:
-                apply_ok = False
-        if witness is not None and not apply_ok:
-            break
-    product_ok = witness is None and entrywise_ok
-    check = ProductIdentityCheck(product_ok, product_worst, trials, witness)
-    return check, apply_ok, apply_worst
+    if trials > 0:
+        lhs_adjacency = TensorOperator.adjacency(tilde)
+        lhs_signless = TensorOperator.signless_laplacian(tilde)
+        rng = np.random.default_rng(seed)
+        for _ in range(trials):
+            w = rng.standard_normal(rn)
+            product_w = kronecker_adjacency_apply(H, w)
+            if witness is None:
+                err = _relative_max_error(lhs_adjacency.apply(w), product_w)
+                product_worst = max(product_worst, err)
+                if err > rtol:
+                    witness = w
+            if apply_ok:
+                degree_w = scaled_deg * w ** (r - 1)
+                err = _relative_max_error(lhs_signless.apply(w), degree_w + product_w)
+                apply_worst = max(apply_worst, err)
+                if apply_worst > rtol:
+                    apply_ok = False
+            if witness is not None and not apply_ok:
+                break
+    check = ProductIdentityCheck(product_ok and witness is None, product_worst, trials, witness)
+    return check, q_ok and apply_ok, apply_worst
 
 
 def check_product_identity(
@@ -202,8 +213,8 @@ def check_product_identity(
     rtol: float = IDENTITY_RTOL,
     tilde: UniformHypergraph | None = None,
 ) -> ProductIdentityCheck:
-    """Verify the blow-up adjacency equals the direct product, on random
-    vectors and entry by entry.
+    """Verify the blow-up adjacency equals the direct product, entry by
+    entry, and cross-check the apply kernels on ``trials`` random vectors.
 
     ``tilde`` overrides the constructed blow-up; it exists as a fault
     injection seam so tests can confirm a mutated blow-up is rejected.
@@ -281,7 +292,6 @@ class QIdentityReport:
     def to_json(self) -> dict:
         return {
             "apply_ok": self.apply_ok,
-            "max_apply_error": self.max_apply_error,
             "scaling": self.scaling.to_json(),
             "ok": self.ok,
         }
@@ -321,7 +331,6 @@ class BlowupVerification:
         return {
             "connectivity_ok": self.connectivity_ok,
             "product_ok": self.product.ok,
-            "max_product_error": self.product.max_relative_error,
             "scaling": self.scaling.to_json(),
             "q": self.q_identities.to_json(),
             "certificate_gap": self.certificate_gap,
@@ -333,16 +342,16 @@ class BlowupVerification:
 def verify_blowup(
     H: UniformHypergraph,
     cfg: SolverConfig | None = None,
-    trials: int = 50,
-    seed: int = 0,
     base_pairs: dict[str, EigenPair] | None = None,
 ) -> BlowupVerification:
     """Run the full blow-up identity suite on one hypergraph in one pass.
 
-    The blow-up is built once, the identity trials run once for both
-    kinds, and each radius is solved once.  ``base_pairs`` maps a kind to
-    its already solved base pair (as from :func:`verify_bounds`); kinds
-    missing from it are solved here.
+    The blow-up is built once, and both apply identities are decided
+    exactly from its edge set and degrees, with no random trials; each
+    radius is solved once.  ``base_pairs`` maps a kind to its already
+    solved base pair (as from :func:`verify_bounds`); kinds missing from it
+    are solved here.  Raises :class:`CapacityError` when the blow-up is
+    over the caps of :func:`blowup`.
     """
     bl = blowup(H)
     base_pairs = base_pairs or {}
@@ -350,7 +359,7 @@ def verify_blowup(
         connectivity_ok = bl.tilde.is_connected() == H.is_connected()
     else:
         connectivity_ok = True  # no claim for r=2
-    product, apply_ok, apply_error = _identity_trials(H, bl.tilde, trials, seed, IDENTITY_RTOL)
+    product, apply_ok, apply_error = _identity_trials(H, bl.tilde, 0, 0, IDENTITY_RTOL)
     scaling, q_scaling = (
         _scaling_check(bl, kind, cfg, SCALING_TOLERANCE, base_pairs.get(kind))
         for kind in (ADJACENCY, SIGNLESS_LAPLACIAN)

@@ -283,20 +283,26 @@ def _iterate(T: TensorOperator, segs: _Segments, start: np.ndarray, shift: float
     # the signless Laplacian's degree diagonal, moved into the step's
     # denominator; None keeps the plain power step
     deg = T._deg if T.kind == SIGNLESS_LAPLACIAN else None
+    finite = None  # the last finite bracket
     for it in range(1, max_iterations + 1):
         xp = x ** power
         y = T.apply(x) + shift * xp
         # zero iterate entries only arise for reducible operators (a
         # degree-diagonal or dense one) with a zero shift, or by underflow;
-        # the resulting nan/inf bracket never passes the gap test, so such
-        # runs end as non-convergence diagnostics
+        # the run stops at the first nan/inf bracket and ends unconverged
+        # with the last finite one, paired with the iterate it stepped to,
+        # as at the iteration cap
         with np.errstate(divide="ignore", invalid="ignore"):
             ratios = y / xp
-        lo, hi = segs.brackets(ratios)
-        lam_lo, lam_hi = lo.max(), hi.max()
-        gap = lam_hi - lam_lo
+            lo, hi = segs.brackets(ratios)
+            lam_lo, lam_hi = lo.max(), hi.max()
+            gap = lam_hi - lam_lo
         if gap <= tolerance:
             return x, lo, hi, it, True
+        if not math.isfinite(gap):
+            lo, hi = finite or (lo, hi)
+            return x, lo, hi, it, False
+        finite = lo, hi
         if may_switch and it % STALL_WINDOW == 0:
             newton = gap > 0.5 * checked_gap
             may_switch = not newton
@@ -334,7 +340,10 @@ def power_iterate(T: TensorOperator, cfg: SolverConfig | None = None) -> EigenPa
 
     Starts from the normalized all-ones vector.  On non-convergence the
     returned pair carries ``converged=False`` together with the last
-    bracket, which still encloses the spectral radius.
+    bracket, which still encloses the spectral radius; a run whose bracket
+    turns nan or infinite (a zero entry of the iterate, as for the degree
+    diagonal of a hypergraph with an isolated vertex) stops there and
+    returns the last finite bracket.
 
     An adjacency or signless Laplacian operator is iterated once over all
     components of its hypergraph that have edges, each a segment with its

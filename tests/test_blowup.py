@@ -91,7 +91,7 @@ def test_vertex_map_round_trip():
 def test_blowup_connectivity_matches_base():
     disjoint_pair = UniformHypergraph(6, 3, ((0, 1, 2), (3, 4, 5)))
     for H, connected in ((loose_path(3, 2), True), (single_edge(4), True), (disjoint_pair, False)):
-        result = verify_blowup(H, trials=2)
+        result = verify_blowup(H)
         assert result.connectivity_ok
         assert result.blowup.tilde.is_connected() is connected
 
@@ -140,6 +140,11 @@ def test_entrywise_check_rejects_mutated_tilde_without_trials(H, mutate):
     tilde = blowup(H).tilde
     assert check_product_identity(H, trials=0, tilde=tilde).ok
     assert not check_product_identity(H, trials=0, tilde=mutate(tilde)).ok
+    product, apply_ok, _ = blowup_mod._identity_trials(H, tilde, 0, 0, 1e-10)
+    assert product.ok and apply_ok
+    product, apply_ok, _ = blowup_mod._identity_trials(H, mutate(tilde), 0, 0, 1e-10)
+    assert not product.ok
+    assert not apply_ok
 
 
 def test_blowup_edges_match_tuple_construction():
@@ -180,9 +185,9 @@ def _count_calls(calls, name, fn):
     return wrapper
 
 
-def test_dense_checked_trials_apply_only_the_kronecker_product(monkeypatch):
-    # every trial goes through kronecker_adjacency_apply, and the entrywise
-    # check neither builds nor contracts a dense tensor
+def test_verify_blowup_runs_no_trials_and_builds_no_dense_tensor(monkeypatch):
+    # both identities are decided from the edge set and the degrees: no
+    # Kronecker apply, and no dense tensor built or contracted
     H = loose_path(3, 2)
     calls = {"kron": 0, "dense": 0, "dense_build": 0}
     monkeypatch.setattr(
@@ -194,12 +199,12 @@ def test_dense_checked_trials_apply_only_the_kronecker_product(monkeypatch):
     monkeypatch.setattr(
         DenseTensor, "__init__", _count_calls(calls, "dense_build", DenseTensor.__init__)
     )
-    result = blowup_mod.verify_blowup(H, trials=4)
+    result = blowup_mod.verify_blowup(H)
     assert result.ok
-    assert calls == {"kron": 4, "dense": 0, "dense_build": 0}
+    assert calls == {"kron": 0, "dense": 0, "dense_build": 0}
 
 
-def test_verify_blowup_builds_once_and_applies_kronecker_once_per_trial(monkeypatch):
+def test_verify_blowup_builds_once_and_never_applies_kronecker(monkeypatch):
     H = single_edge(5)
     calls = {"blowup": 0, "kron": 0}
     monkeypatch.setattr(blowup_mod, "blowup", _count_calls(calls, "blowup", blowup_mod.blowup))
@@ -208,9 +213,9 @@ def test_verify_blowup_builds_once_and_applies_kronecker_once_per_trial(monkeypa
         "kronecker_adjacency_apply",
         _count_calls(calls, "kron", blowup_mod.kronecker_adjacency_apply),
     )
-    result = blowup_mod.verify_blowup(H, trials=4)
+    result = blowup_mod.verify_blowup(H)
     assert result.ok
-    assert calls == {"blowup": 1, "kron": 4}
+    assert calls == {"blowup": 1, "kron": 0}
 
 
 def test_kronecker_apply_matches_dense_product():
@@ -230,10 +235,10 @@ def test_kronecker_apply_matches_dense_product():
 
 
 @st.composite
-def _kronecker_cases(draw):
-    """(H, w): a small r-uniform graph, r = 2..6, possibly edgeless, and a
-    signed vector whose entries span six decades."""
-    r = draw(st.integers(2, 6))
+def _kronecker_cases(draw, max_r=6):
+    """(H, w): a small r-uniform graph, r = 2..max_r, possibly edgeless, and
+    a signed vector whose entries span six decades."""
+    r = draw(st.integers(2, max_r))
     n = draw(st.integers(r, r + 3))
     m = draw(st.integers(0, min(5, math.comb(n, r))))
     H = random_hypergraph(n, r, m, draw(st.integers(0, 10**6)))
@@ -257,6 +262,26 @@ def test_kronecker_apply_matches_oracle_loop(case):
     scale = np.max(oracles.kronecker_adjacency_apply(H, np.abs(w)), initial=0.0)
     assert got.dtype == float and got.shape == expected.shape
     assert np.max(np.abs(got - expected), initial=0.0) <= 1e-12 * scale
+
+
+@settings(max_examples=100, deadline=None)
+@given(_kronecker_cases(max_r=5))
+@example((UniformHypergraph(7, 5), np.ones(35)))
+def test_blowup_apply_kernels_match_kronecker_product(case):
+    # verify decides the identities from integers; this keeps the numerical
+    # cross-check of the apply kernel on the blow-up against the product,
+    # with the error measured against the same apply on |w|
+    H, w = case
+    r = H.r
+    tilde = blowup(H).tilde
+    product = kronecker_adjacency_apply(H, w)
+    degree_term = math.factorial(r - 1) * np.repeat(H.degree_array, r) * w ** (r - 1)
+    for T, expected in (
+        (TensorOperator.adjacency(tilde), product),
+        (TensorOperator.signless_laplacian(tilde), degree_term + product),
+    ):
+        scale = np.max(T.apply(np.abs(w)), initial=0.0)
+        assert np.max(np.abs(T.apply(w) - expected), initial=0.0) <= 1e-12 * scale
 
 
 def test_spectral_scaling_single_edge():

@@ -6,7 +6,8 @@ from collections import Counter
 
 import pytest
 
-from hyperspec import loose_path, parse_hypergraph, render_hypergraph
+from hyperspec import UniformHypergraph, generate, loose_path, parse_hypergraph, render_hypergraph
+from hyperspec.blowup import BLOWUP_VERTEX_CAP
 from hyperspec.cli import main
 
 
@@ -159,6 +160,22 @@ def test_verify_corpus(tmp_path, capsys):
     assert code == 0
     assert "FAIL" not in out
     assert "a.hg" in out and "b.hg" in out
+
+
+def test_verify_skips_only_blowups_over_the_caps(tmp_path, capsys):
+    # a blow-up on 400 vertices with 9,600 edges is verified; one vertex
+    # over BLOWUP_VERTEX_CAP gets a skip row, and every other check runs
+    (tmp_path / "a.hg").write_text(render_hypergraph(generate("random:100,4,400,1")))
+    over = UniformHypergraph(BLOWUP_VERTEX_CAP // 3 + 1, 3, ((0, 1, 2),))
+    (tmp_path / "b.hg").write_text(render_hypergraph(over))
+    code, out, _ = run(capsys, ["verify", "--json", str(tmp_path)])
+    assert code == 0
+    rows = {(row["instance"], row["check"]): (row["status"], row["detail"])
+            for row in json.loads(out)["results"]}
+    assert rows[("a.hg", "blowup")][0] == "pass"
+    assert rows[("b.hg", "blowup")] == ("skip", "skipped: size")
+    assert [status for (name, _), (status, _) in rows.items() if name == "b.hg"] == [
+        "pass", "pass", "skip", "pass"]
 
 
 def test_verify_empty_corpus(tmp_path, capsys):

@@ -278,6 +278,19 @@ def test_reducible_q_converges_without_warnings():
         assert np.array_equal(pair.vector > 0, [True, True, True, False])
 
 
+def test_degree_diagonal_stops_at_the_last_finite_bracket():
+    # the isolated vertex's entry is 0 after one step, so its ratio is 0/0
+    # from the second; the run ends there with the first step's bracket
+    T = TensorOperator.degree_diagonal(UniformHypergraph(4, 3, [(0, 1, 2)]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pair = power_iterate(T)
+    assert not pair.converged
+    assert math.isfinite(pair.lower) and math.isfinite(pair.upper)
+    assert pair.lower <= 1.0 <= pair.upper
+    assert pair.iterations <= 2
+
+
 def _path_beside_small_components(length):
     """loose_path(3, length) beside loose_path(3, 2), a single edge and two
     isolated vertices."""
