@@ -160,8 +160,9 @@ def _identity_trials(H, tilde, trials, seed, rtol) -> tuple[ProductIdentityCheck
     adjacency identity again, and on it the integer identity
     deg_tilde = (r-1)! repeat(d, r).
 
-    ``trials`` random vectors (none for 0) then cross-check the two apply
-    kernels numerically, applying the product through
+    ``trials`` random vectors (none for 0, and none when tilde does not have
+    r n vertices, as no vector fits both sides) then cross-check the two
+    apply kernels numerically, applying the product through
     :func:`kronecker_adjacency_apply` and the diagonal degree term as a
     vector; a trial can only turn a flag false.  Returns the product check,
     then whether the signless Laplacian identity held and its worst trial
@@ -182,7 +183,7 @@ def _identity_trials(H, tilde, trials, seed, rtol) -> tuple[ProductIdentityCheck
     product_worst = apply_worst = 0.0
     witness = None
     apply_ok = True
-    if trials > 0:
+    if trials > 0 and rn == r * H.n:
         lhs_adjacency = TensorOperator.adjacency(tilde)
         lhs_signless = TensorOperator.signless_laplacian(tilde)
         rng = np.random.default_rng(seed)

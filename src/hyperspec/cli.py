@@ -23,7 +23,13 @@ from .hypergraph import (
     render_hypergraph,
     verify_odd_coloring,
 )
-from .solver import DEFAULT_MAX_ITERATIONS, DEFAULT_TOLERANCE, SolverConfig, spectral_radius
+from .solver import (
+    DEFAULT_MAX_ITERATIONS,
+    DEFAULT_SHIFT,
+    DEFAULT_TOLERANCE,
+    SolverConfig,
+    spectral_radius,
+)
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -49,7 +55,6 @@ def _config(args) -> SolverConfig:
         tolerance=args.tol,
         max_iterations=args.max_iter,
         shift=args.shift,
-        seed=args.seed,
     )
 
 
@@ -278,10 +283,8 @@ def _add_common(parser: argparse.ArgumentParser, with_input: bool = True):
                         help="bracket-gap convergence tolerance")
     parser.add_argument("--max-iter", dest="max_iter", type=int,
                         default=DEFAULT_MAX_ITERATIONS, help="iteration cap")
-    parser.add_argument("--shift", type=float, default=None,
+    parser.add_argument("--shift", type=float, default=DEFAULT_SHIFT,
                         help="diagonal shift added to the operator (default 1)")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="seed for random-restart attempts")
     fmt = parser.add_mutually_exclusive_group()
     fmt.add_argument("--json", action="store_true", help="emit a JSON report")
     parser.add_argument("--out", metavar="PATH", help="write output to a file")

@@ -16,7 +16,7 @@ from itertools import chain, combinations
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import CapacityError, FormatError
 
 
 def _as_int(value) -> int:
@@ -413,11 +413,21 @@ def load_hypergraph(text: str) -> UniformHypergraph:
 # Generators.  All are deterministic for fixed parameters (and seed).
 # ---------------------------------------------------------------------------
 
+#: Most edges a generator builds, checked before it enumerates any; the
+#: same size as the blow-up's edge cap.
+GENERATOR_EDGE_CAP = 5_000_000
+
+
+def _check_edge_count(m: int) -> None:
+    if m > GENERATOR_EDGE_CAP:
+        raise CapacityError(f"generator needs {m} edges, cap is {GENERATOR_EDGE_CAP}")
+
 
 def complete(n: int, r: int) -> UniformHypergraph:
     """All r-subsets of {0..n-1}; regular of degree C(n-1, r-1)."""
     if n < r:
         raise ValueError(f"complete({n},{r}) needs n >= r")
+    _check_edge_count(math.comb(n, r))
     return UniformHypergraph(n, r, tuple(combinations(range(n), r)))
 
 
@@ -442,6 +452,7 @@ def random_hypergraph(n: int, r: int, m: int, seed: int) -> UniformHypergraph:
     total = math.comb(n, r)
     if not 0 <= m <= total:
         raise ValueError(f"edge count {m} outside 0..C({n},{r})={total}")
+    _check_edge_count(m)
     rng = random.Random(seed)
     if total <= 2_000_000:
         edges = rng.sample(list(combinations(range(n), r)), m)

@@ -11,11 +11,10 @@ it moves into a denominator, ``x^[r-1] <- (y - d x^[r-1]) / (lam - d)``
 with lam the upper side.  The step costs no extra apply; since
 ``y <= lam x^[r-1]``, the new iterate is entrywise at most the old one, the
 upper side never rises, and every denominator is at least the shift.  A
-positive shift, 1 by default for every kind but the degree diagonal,
-guarantees that the plain step converges for weakly irreducible operators,
-i.e. for connected hypergraphs, and is the only damping of the signless
-Laplacian step (without it, a star K_{1,3} takes 205 iterations instead of
-2).
+positive shift, 1 by default, guarantees that the plain step converges for
+weakly irreducible operators, i.e. for connected hypergraphs, from any
+positive start, and is the only damping of the signless Laplacian step
+(without it, a star K_{1,3} takes 205 iterations instead of 2).
 
 A disconnected hypergraph is iterated once, over all of its components with
 edges at once.  Its adjacency and signless Laplacian operators are block
@@ -55,8 +54,8 @@ import numpy as np
 from .hypergraph import UniformHypergraph
 from .tensors import (
     ADJACENCY,
-    DEGREE_DIAGONAL,
     DENSE,
+    HYPERGRAPH_KINDS,
     SIGNLESS_LAPLACIAN,
     TensorOperator,
     eigen_residual,
@@ -64,29 +63,27 @@ from .tensors import (
 
 DEFAULT_TOLERANCE = 1e-10
 DEFAULT_MAX_ITERATIONS = 100_000
+DEFAULT_SHIFT = 1.0
 #: Iterations between two stall checks of the power iteration's bracket.
 STALL_WINDOW = 100
 #: Relative residual at which the conjugate gradient inner solve stops.
 CG_RTOL = 1e-12
 
 _KIND_ALIASES = {"q": SIGNLESS_LAPLACIAN, "a": ADJACENCY}
-_RADIUS_KINDS = (ADJACENCY, SIGNLESS_LAPLACIAN)
 
 
 @dataclass
 class SolverConfig:
     """Power-iteration settings.
 
-    ``shift=None`` resolves per operator kind: 0 for the degree diagonal,
-    whose power step is exact, and 1 otherwise (adjacency, signless
-    Laplacian, dense).  ``seed`` enables up to two random-restart attempts
-    after a stalled all-ones start.
+    ``shift`` is added to the diagonal of every operator kind; the default
+    of 1 makes the power step converge on every weakly irreducible operator
+    and damps the signless Laplacian step (see the module docstring).
     """
 
     tolerance: float = DEFAULT_TOLERANCE
     max_iterations: int = DEFAULT_MAX_ITERATIONS
-    shift: float | None = None
-    seed: int | None = None
+    shift: float = DEFAULT_SHIFT
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.tolerance):
@@ -95,9 +92,9 @@ class SolverConfig:
             raise ValueError(f"tolerance must be positive, got {self.tolerance}")
         if self.max_iterations < 1:
             raise ValueError(f"max_iterations must be at least 1, got {self.max_iterations}")
-        if self.shift is not None and self.shift < 0:
+        if self.shift < 0:
             raise ValueError(f"shift must be nonnegative, got {self.shift}")
-        if self.shift is not None and not math.isfinite(self.shift):
+        if not math.isfinite(self.shift):
             raise ValueError(f"shift must be finite, got {self.shift}")
 
     def to_json(self) -> dict:
@@ -105,7 +102,6 @@ class SolverConfig:
             "tolerance": self.tolerance,
             "max_iterations": self.max_iterations,
             "shift": self.shift,
-            "seed": self.seed,
         }
 
 
@@ -135,11 +131,6 @@ class EigenPair:
 def r_norm(x, r: int) -> float:
     """The r-norm (sum |x_i|^r)^(1/r) used to normalize eigenvectors."""
     return float(np.sum(np.abs(np.asarray(x, dtype=float)) ** r) ** (1.0 / r))
-
-
-def default_shift(kind: str) -> float:
-    """The shift that ``shift=None`` stands for; see :class:`SolverConfig`."""
-    return 0.0 if kind == DEGREE_DIAGONAL else 1.0
 
 
 def _conjugate_gradient(matvec, b: np.ndarray, diag: np.ndarray) -> np.ndarray:
@@ -217,9 +208,9 @@ def _split(T: TensorOperator) -> tuple[TensorOperator, np.ndarray | None, _Segme
     An adjacency or signless Laplacian operator splits into the components
     of its hypergraph that have edges, read from the cached component
     labels and ordered by smallest vertex; vertices without edges are left
-    out.  Any other operator, and a connected hypergraph, is one segment.
+    out.  A dense operator, and a connected hypergraph, is one segment.
     """
-    if T.kind not in _RADIUS_KINDS or not T.hypergraph._labels.any():
+    if T.kind not in HYPERGRAPH_KINDS or not T.hypergraph._labels.any():
         return T, None, _Segments(T.order)
     H = T.hypergraph
     labels = H._labels
@@ -277,7 +268,7 @@ def _iterate(T: TensorOperator, segs: _Segments, start: np.ndarray, shift: float
     # Newton-Noda state: stall checks run until one switches newton on; it
     # stays on until a step gives no positive w or the gap stops shrinking
     # (at rounding level), and then the power iteration finishes the run
-    may_switch = T.kind in _RADIUS_KINDS
+    may_switch = T.kind in HYPERGRAPH_KINDS
     newton = False
     checked_gap = newton_gap = float("inf")
     # the signless Laplacian's degree diagonal, moved into the step's
@@ -287,11 +278,10 @@ def _iterate(T: TensorOperator, segs: _Segments, start: np.ndarray, shift: float
     for it in range(1, max_iterations + 1):
         xp = x ** power
         y = T.apply(x) + shift * xp
-        # zero iterate entries only arise for reducible operators (a
-        # degree-diagonal or dense one) with a zero shift, or by underflow;
-        # the run stops at the first nan/inf bracket and ends unconverged
-        # with the last finite one, paired with the iterate it stepped to,
-        # as at the iteration cap
+        # zero iterate entries only arise for a reducible dense operator
+        # with a zero shift, or by underflow; the run stops at the first
+        # nan/inf bracket and ends unconverged with the last finite one,
+        # paired with the iterate it stepped to, as at the iteration cap
         with np.errstate(divide="ignore", invalid="ignore"):
             ratios = y / xp
             lo, hi = segs.brackets(ratios)
@@ -338,12 +328,15 @@ def _iterate(T: TensorOperator, segs: _Segments, start: np.ndarray, shift: float
 def power_iterate(T: TensorOperator, cfg: SolverConfig | None = None) -> EigenPair:
     """Solve for the spectral radius of a nonnegative operator.
 
-    Starts from the normalized all-ones vector.  On non-convergence the
-    returned pair carries ``converged=False`` together with the last
-    bracket, which still encloses the spectral radius; a run whose bracket
-    turns nan or infinite (a zero entry of the iterate, as for the degree
-    diagonal of a hypergraph with an isolated vertex) stops there and
-    returns the last finite bracket.
+    One run from the normalized all-ones vector: the positive eigenvector
+    of a weakly irreducible operator is unique and the shifted step
+    converges from any positive start, so no other start is tried.  On
+    non-convergence the returned pair carries ``converged=False`` together
+    with the last bracket, which encloses the spectral radius up to
+    rounding (the bracket carries no rounding margin yet); a run whose
+    bracket turns nan or infinite (a zero entry of the iterate, as for a
+    reducible dense operator with shift 0) stops there and returns the last
+    finite bracket.
 
     An adjacency or signless Laplacian operator is iterated once over all
     components of its hypergraph that have edges, each a segment with its
@@ -356,31 +349,19 @@ def power_iterate(T: TensorOperator, cfg: SolverConfig | None = None) -> EigenPa
     cfg = cfg or SolverConfig()
     if T.kind == DENSE and not T.nonnegative:
         raise ValueError("dense operator has negative entries; solver rejects it")
-    shift = default_shift(T.kind) if cfg.shift is None else cfg.shift
-    if T.kind in _RADIUS_KINDS and T.hypergraph.num_edges == 0:
+    if T.kind in HYPERGRAPH_KINDS and T.hypergraph.num_edges == 0:
         e0 = np.zeros(T.dim)
         e0[0] = 1.0
         return EigenPair(value=0.0, vector=e0, residual=0.0, iterations=1,
                          lower=0.0, upper=0.0, converged=True)
     S, vertices, segs = _split(T)
-    starts = [np.ones(S.dim)]
-    if cfg.seed is not None:
-        rng = np.random.default_rng(cfg.seed)
-        starts.extend(rng.random(S.dim) + 0.5 for _ in range(2))
-    best = None
-    total_iterations = 0
-    for start in starts:
-        x, lo, hi, used, ok = _iterate(S, segs, start, shift, cfg.tolerance, cfg.max_iterations)
-        total_iterations += used
-        if best is None or hi.max() - lo.max() < best[2] - best[1]:
-            best = (x, lo.max(), hi.max(), int(np.argmax(lo)))
-        if ok:
-            break
-    x, lo, hi, winner = best
-    converged = hi - lo <= cfg.tolerance
-    value = float(0.5 * (lo + hi) - shift)
+    x, lo_segs, hi_segs, iterations, converged = _iterate(
+        S, segs, np.ones(S.dim), cfg.shift, cfg.tolerance, cfg.max_iterations
+    )
+    lo, hi = lo_segs.max(), hi_segs.max()
+    value = float(0.5 * (lo + hi) - cfg.shift)
     if vertices is not None:
-        mine = segs.seg == winner
+        mine = segs.seg == np.argmax(lo_segs)
         vector = np.zeros(T.dim)
         vector[vertices[mine]] = x[mine]
         x = vector
@@ -388,17 +369,17 @@ def power_iterate(T: TensorOperator, cfg: SolverConfig | None = None) -> EigenPa
         value=value,
         vector=x,
         residual=eigen_residual(T, value, x),
-        iterations=total_iterations,
-        lower=float(lo - shift),
-        upper=float(hi - shift),
-        converged=bool(converged),
+        iterations=iterations,
+        lower=float(lo - cfg.shift),
+        upper=float(hi - cfg.shift),
+        converged=converged,
     )
 
 
 def _resolve_kind(kind: str) -> str:
     kind = _KIND_ALIASES.get(kind, kind)
-    if kind not in _RADIUS_KINDS:
-        raise ValueError(f"spectral radius kind must be one of {_RADIUS_KINDS}, got {kind!r}")
+    if kind not in HYPERGRAPH_KINDS:
+        raise ValueError(f"spectral radius kind must be one of {HYPERGRAPH_KINDS}, got {kind!r}")
     return kind
 
 

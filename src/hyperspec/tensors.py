@@ -20,11 +20,10 @@ DENSE_DIM_CAP = 12
 DENSE_ORDER_CAP = 6
 
 ADJACENCY = "adjacency"
-DEGREE_DIAGONAL = "degree-diagonal"
 SIGNLESS_LAPLACIAN = "signless-laplacian"
 DENSE = "dense"
 
-HYPERGRAPH_KINDS = (ADJACENCY, DEGREE_DIAGONAL, SIGNLESS_LAPLACIAN)
+HYPERGRAPH_KINDS = (ADJACENCY, SIGNLESS_LAPLACIAN)
 
 
 class DenseTensor:
@@ -79,7 +78,7 @@ def distinct_index_tensor(r: int, dim_cap: int | None = None) -> DenseTensor:
 
 
 def dense_tensor_of(H: UniformHypergraph, kind: str, dim_cap: int | None = None) -> DenseTensor:
-    """Materialize the adjacency, degree or signless Laplacian tensor of H.
+    """Materialize the adjacency or signless Laplacian tensor of H.
 
     Intended for small instances and independent cross-checks; everything
     else should go through :class:`TensorOperator`.
@@ -87,18 +86,15 @@ def dense_tensor_of(H: UniformHypergraph, kind: str, dim_cap: int | None = None)
     if kind not in HYPERGRAPH_KINDS:
         raise ValueError(f"unknown hypergraph tensor kind {kind!r}")
     n, r = H.n, H.r
-    adj = np.zeros((n,) * r)
+    arr = np.zeros((n,) * r)
     weight = 1.0 / math.factorial(r - 1)
     for edge in H.edges:
         for p in permutations(edge):
-            adj[p] = weight
-    if kind == ADJACENCY:
-        arr = adj
-    else:
-        diag = np.zeros((n,) * r)
+            arr[p] = weight
+    if kind == SIGNLESS_LAPLACIAN:
+        # an edge has distinct vertices, so the diagonal holds no adjacency
         for v, d in enumerate(H.degrees()):
-            diag[(v,) * r] = float(d)
-        arr = diag if kind == DEGREE_DIAGONAL else diag + adj
+            arr[(v,) * r] = float(d)
     return DenseTensor(arr, dim_cap=dim_cap)
 
 
@@ -126,8 +122,8 @@ class TensorOperator:
     """Apply-only view ``x -> Tx`` of a hypergraph tensor or a dense tensor.
 
     Hypergraph kinds never materialize n**r storage: the adjacency apply
-    walks a slot-major (r, m) copy of the edge list, the diagonal apply
-    scales by degrees.
+    walks a slot-major (r, m) copy of the edge list, and the signless
+    Laplacian adds the degree term.
     """
 
     def __init__(self, kind: str, hypergraph: UniformHypergraph | None = None,
@@ -158,10 +154,6 @@ class TensorOperator:
     @classmethod
     def adjacency(cls, H: UniformHypergraph) -> "TensorOperator":
         return cls(ADJACENCY, hypergraph=H)
-
-    @classmethod
-    def degree_diagonal(cls, H: UniformHypergraph) -> "TensorOperator":
-        return cls(DEGREE_DIAGONAL, hypergraph=H)
 
     @classmethod
     def signless_laplacian(cls, H: UniformHypergraph) -> "TensorOperator":
@@ -245,10 +237,7 @@ class TensorOperator:
             return self.tensor.apply(x)
         if self.kind == ADJACENCY:
             return self._apply_adjacency(x)
-        diag = self._deg * x ** (self.order - 1)
-        if self.kind == DEGREE_DIAGONAL:
-            return diag
-        return diag + self._apply_adjacency(x)
+        return self._deg * x ** (self.order - 1) + self._apply_adjacency(x)
 
     def jacobian_apply(self, x, v) -> np.ndarray:
         """The Jacobian of ``x -> Tx`` at x, applied to v.
@@ -260,7 +249,7 @@ class TensorOperator:
         homogeneous maps, ``J(x) x = (r-1) Tx``.  No matrix is built: time
         and memory are O(m r), as for one apply.
         """
-        if self.kind not in (ADJACENCY, SIGNLESS_LAPLACIAN):
+        if self.kind not in HYPERGRAPH_KINDS:
             raise ValueError(f"jacobian_apply is not defined for kind {self.kind!r}")
         x = np.asarray(x, dtype=float)
         v = np.asarray(v, dtype=float)

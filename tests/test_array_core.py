@@ -357,18 +357,17 @@ def _shattered_graphs(draw):
 @given(
     _shattered_graphs(),
     st.sampled_from(["adjacency", "signless-laplacian"]),
-    st.sampled_from([None, 0.5]),
-    st.sampled_from([None, 3]),
+    st.sampled_from([1.0, 0.5]),
 )
-def test_batched_solve_matches_component_oracle(H, kind, shift, seed):
-    _check_against_component_solves(H, kind, SolverConfig(shift=shift, seed=seed))
+def test_batched_solve_matches_component_oracle(H, kind, shift):
+    _check_against_component_solves(H, kind, SolverConfig(shift=shift))
 
 
 @pytest.mark.parametrize("kind", ["adjacency", "signless-laplacian"])
 @pytest.mark.parametrize(
     "cfg",
-    [SolverConfig(), SolverConfig(shift=0.5), SolverConfig(seed=3)],
-    ids=["default", "shift", "seed"],
+    [SolverConfig(), SolverConfig(shift=0.5)],
+    ids=["default", "shift"],
 )
 @pytest.mark.parametrize(
     "H",

@@ -137,14 +137,17 @@ def _replace_first_edge(tilde, edge):
     ids=["missing-edge", "repeated-label", "foreign-base-edge", "extra-vertex"],
 )
 def test_entrywise_check_rejects_mutated_tilde_without_trials(H, mutate):
+    # the exact checks decide alone; one trial may run beside them, and on a
+    # tilde without r n vertices it is skipped instead of raising
     tilde = blowup(H).tilde
-    assert check_product_identity(H, trials=0, tilde=tilde).ok
-    assert not check_product_identity(H, trials=0, tilde=mutate(tilde)).ok
-    product, apply_ok, _ = blowup_mod._identity_trials(H, tilde, 0, 0, 1e-10)
-    assert product.ok and apply_ok
-    product, apply_ok, _ = blowup_mod._identity_trials(H, mutate(tilde), 0, 0, 1e-10)
-    assert not product.ok
-    assert not apply_ok
+    for trials in (0, 1):
+        assert check_product_identity(H, trials=trials, tilde=tilde).ok
+        assert not check_product_identity(H, trials=trials, tilde=mutate(tilde)).ok
+        product, apply_ok, _ = blowup_mod._identity_trials(H, tilde, trials, 0, 1e-10)
+        assert product.ok and apply_ok
+        product, apply_ok, _ = blowup_mod._identity_trials(H, mutate(tilde), trials, 0, 1e-10)
+        assert not product.ok
+        assert not apply_ok
 
 
 def test_blowup_edges_match_tuple_construction():

@@ -32,6 +32,16 @@ def test_spectrum_loose_path_value(capsys):
     assert payload["kind"] == "adjacency"
 
 
+def test_config_reports_the_shift_and_no_seed(capsys):
+    code, out, _ = run(capsys, ["spectrum", "--gen", "single_edge:3", "--json"])
+    assert code == 0
+    config = json.loads(out)["config"]
+    assert config == {"tolerance": 1e-10, "max_iterations": 100000, "shift": 1.0}
+    with pytest.raises(SystemExit) as exc:
+        main(["spectrum", "--gen", "single_edge:3", "--seed", "1"])
+    assert exc.value.code == 2
+
+
 def test_spectrum_q_kind(capsys):
     code, out, _ = run(capsys, ["spectrum", "--gen", "single_edge:3", "--kind", "q", "--json"])
     assert code == 0
@@ -39,7 +49,7 @@ def test_spectrum_q_kind(capsys):
 
 
 def test_spectrum_json_deterministic(capsys):
-    args = ["spectrum", "--gen", "random:8,3,10,42", "--seed", "1", "--json"]
+    args = ["spectrum", "--gen", "random:8,3,10,42", "--json"]
     _, first, _ = run(capsys, args)
     _, second, _ = run(capsys, args)
     assert first == second
@@ -151,6 +161,14 @@ def test_blowup_capacity_exit(capsys):
     code, _, err = run(capsys, ["blowup", "--gen", "complete:24,5"])
     assert code == 5
     assert "cap" in err
+
+
+@pytest.mark.parametrize("spec", ["complete:60,30", "random:100000,3,5000001,1"])
+def test_generator_capacity_exit(capsys, spec):
+    # refused before a single edge is enumerated or drawn
+    code, _, err = run(capsys, ["spectrum", "--gen", spec, "--json"])
+    assert code == 5
+    assert "cap is 5000000" in err
 
 
 def test_verify_corpus(tmp_path, capsys):

@@ -67,20 +67,21 @@ def test_apply_dimension_mismatch():
 def test_operator_kind_examples():
     q = TensorOperator.signless_laplacian(single_edge(3))
     np.testing.assert_allclose(q.apply(np.ones(3)), [2, 2, 2])
-    deg = TensorOperator.degree_diagonal(loose_path(3, 2))
-    np.testing.assert_allclose(deg.apply(np.ones(5)), [1, 1, 2, 1, 1])
+    H, ones = loose_path(3, 2), np.ones(5)
+    degree_term = TensorOperator.signless_laplacian(H).apply(ones) - adjacency_apply(H, ones)
+    np.testing.assert_allclose(degree_term, [1, 1, 2, 1, 1])
 
 
 def test_operator_nonnegativity_flags():
     assert TensorOperator.adjacency(single_edge(3)).nonnegative
     assert TensorOperator.signless_laplacian(single_edge(3)).nonnegative
-    assert TensorOperator.degree_diagonal(single_edge(3)).nonnegative
+    assert TensorOperator.dense(distinct_index_tensor(3)).nonnegative
 
 
 def test_homogeneity_of_apply():
     rng = np.random.default_rng(1)
     H = random_hypergraph(6, 3, 7, 3)
-    for kind in ("adjacency", "degree-diagonal", "signless-laplacian"):
+    for kind in ("adjacency", "signless-laplacian"):
         T = TensorOperator.for_hypergraph(H, kind)
         x = rng.standard_normal(6)
         c = 1.7
@@ -136,7 +137,7 @@ def test_jacobian_apply_matches_dense_contraction(case, kind):
 def test_jacobian_apply_rejects_other_kinds_and_dimensions():
     H = single_edge(3)
     with pytest.raises(ValueError):
-        TensorOperator.degree_diagonal(H).jacobian_apply(np.ones(3), np.ones(3))
+        TensorOperator.dense(distinct_index_tensor(3)).jacobian_apply(np.ones(3), np.ones(3))
     with pytest.raises(ValueError):
         TensorOperator.adjacency(H).jacobian_apply(np.ones(3), np.ones(2))
 
@@ -156,9 +157,11 @@ def test_dense_tensor_of_matches_oracle():
     np.testing.assert_allclose(
         dense_tensor_of(H, "adjacency").entries, oracles.dense_adjacency(H)
     )
-    q = dense_tensor_of(H, "signless-laplacian")
-    deg = dense_tensor_of(H, "degree-diagonal")
-    np.testing.assert_allclose(q.entries - deg.entries, oracles.dense_adjacency(H))
+    q = dense_tensor_of(H, "signless-laplacian").entries
+    diagonal = np.zeros_like(q)
+    for v, d in enumerate([1, 1, 2, 1, 1]):
+        diagonal[v, v, v] = d
+    np.testing.assert_allclose(q - diagonal, oracles.dense_adjacency(H))
 
 
 def test_dense_dimension_cap():
