@@ -13,7 +13,6 @@ apply kernels numerically run only in :func:`check_product_identity` and
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from itertools import permutations
@@ -58,10 +57,6 @@ class BlowupHypergraph:
         """All (base vertex, label, flat index) triples, 0-based."""
         r = self.base.r
         return [(i, j, i * r + j) for i in range(self.base.n) for j in range(r)]
-
-    def vertex_map_json(self) -> str:
-        """JSON export of the vertex map with 1-based ids."""
-        return json.dumps([[i + 1, j + 1, flat + 1] for i, j, flat in self.vertex_map()])
 
 
 def blowup(

@@ -1,7 +1,8 @@
 """Command line front end: spectra, bounds, blow-ups, verification suites.
 
 Exit codes are a stable contract: 0 success, 2 input error, 3 solver
-non-convergence, 4 mathematical check failure, 5 capacity exceeded.
+non-convergence, 4 mathematical check failure, 5 capacity exceeded (a size
+cap, or an allocation that fails).
 """
 
 from __future__ import annotations
@@ -141,7 +142,7 @@ def cmd_blowup(args) -> int:
             "config": cfg.to_json(),
             "base": {"n": H.n, "r": H.r, "edges": H.num_edges},
             "tilde": {"n": bl.tilde.n, "r": bl.tilde.r, "edges": bl.tilde.num_edges},
-            "vertex_map": json.loads(bl.vertex_map_json()),
+            "vertex_map": [[i + 1, j + 1, flat + 1] for i, j, flat in bl.vertex_map()],
         }
         if verification is not None:
             payload["verify"] = verification.to_json()
@@ -326,7 +327,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except CapacityError as exc:
+    except (CapacityError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAPACITY
     except (FormatError, OSError, ValueError) as exc:

@@ -440,6 +440,7 @@ def loose_path(r: int, length: int) -> UniformHypergraph:
     """length edges in a row, consecutive edges sharing exactly one vertex."""
     if length < 1:
         raise ValueError(f"loose_path({r},{length}) needs length >= 1")
+    _check_edge_count(length)
     n = length * (r - 1) + 1
     edges = tuple(tuple(range(k * (r - 1), k * (r - 1) + r)) for k in range(length))
     return UniformHypergraph(n, r, edges)

@@ -27,8 +27,9 @@ the largest lower side and the largest upper side, and the run converges
 when those two are within the tolerance; the winner is the segment with the
 largest lower side, ties to the one with the smallest vertex.  Vertices
 without edges are left out (their radius is 0), and an edgeless hypergraph
-gets value 0 without a solve.  A connected hypergraph is one segment, and
-every other operator kind is one segment over all its vertices.
+gets value 0 without a solve.  A connected hypergraph, like a dense
+operator, is one segment over all its vertices and takes the same
+arithmetic, so adding vertices without edges changes no output bit.
 
 The power iteration (Ng, Qi & Zhou 2009) contracts slowly when the spectral
 gap is small, as on long loose paths.  For hypergraph operators the bracket
@@ -128,11 +129,6 @@ class EigenPair:
         }
 
 
-def r_norm(x, r: int) -> float:
-    """The r-norm (sum |x_i|^r)^(1/r) used to normalize eigenvectors."""
-    return float(np.sum(np.abs(np.asarray(x, dtype=float)) ** r) ** (1.0 / r))
-
-
 def _conjugate_gradient(matvec, b: np.ndarray, diag: np.ndarray) -> np.ndarray:
     """Conjugate gradient for a symmetric positive definite system,
     preconditioned by the positive diagonal ``diag``, stopped at relative
@@ -167,51 +163,43 @@ class _Segments:
     independent blocks.
 
     ``seg`` gives the segment of every vertex and ``starts`` the first vertex
-    of each; every segment is a contiguous slice.  ``seg=None`` is one
-    segment over all vertices, whose sums and norms are computed as for a
-    plain vector, so a connected input keeps the arithmetic of an
-    unsegmented iteration.
+    of each; every segment is a contiguous slice.
     """
 
     order: int
-    seg: np.ndarray | None = None
-    starts: np.ndarray | None = None
+    seg: np.ndarray
+    starts: np.ndarray
 
     def brackets(self, ratios: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The smallest and the largest ratio of every segment."""
-        if self.seg is None:
-            return np.array([ratios.min()]), np.array([ratios.max()])
         return np.minimum.reduceat(ratios, self.starts), np.maximum.reduceat(ratios, self.starts)
 
     def sums(self, values: np.ndarray) -> np.ndarray:
-        if self.seg is None:
-            return np.array([values.sum()])
         return np.bincount(self.seg, weights=values, minlength=len(self.starts))
 
-    def spread(self, per_segment: np.ndarray):
-        """A per-segment array read per vertex (a scalar for one segment)."""
-        return per_segment[0] if self.seg is None else per_segment[self.seg]
+    def spread(self, per_segment: np.ndarray) -> np.ndarray:
+        """A per-segment array read per vertex."""
+        return per_segment[self.seg]
 
     def normalize(self, x: np.ndarray) -> None:
         """Scale every segment of x to r-norm 1, in place."""
         r = self.order
-        if self.seg is None:
-            x /= r_norm(x, r)
-        else:
-            x /= self.spread(self.sums(x**r) ** (1.0 / r))
+        x /= self.spread(self.sums(x**r) ** (1.0 / r))
 
 
-def _split(T: TensorOperator) -> tuple[TensorOperator, np.ndarray | None, _Segments]:
+def _split(T: TensorOperator) -> tuple[TensorOperator, np.ndarray, _Segments]:
     """The operator to iterate on, the vertex of T behind each of its
-    vertices (None for one segment, the identity), and its segments.
+    vertices, and its segments.
 
     An adjacency or signless Laplacian operator splits into the components
     of its hypergraph that have edges, read from the cached component
     labels and ordered by smallest vertex; vertices without edges are left
-    out.  A dense operator, and a connected hypergraph, is one segment.
+    out.  A dense operator, like a connected hypergraph, is one segment
+    over all vertices of T itself, which is not rebuilt.
     """
     if T.kind not in HYPERGRAPH_KINDS or not T.hypergraph._labels.any():
-        return T, None, _Segments(T.order)
+        one = _Segments(T.order, np.zeros(T.dim, dtype=np.intp), np.zeros(1, dtype=np.intp))
+        return T, np.arange(T.dim), one
     H = T.hypergraph
     labels = H._labels
     keep = np.flatnonzero(H.degree_array)
@@ -228,34 +216,32 @@ def _split(T: TensorOperator) -> tuple[TensorOperator, np.ndarray | None, _Segme
     return TensorOperator.for_hypergraph(sub, T.kind), vertices, segments
 
 
-def _newton_noda_step(T: TensorOperator, segs: _Segments, x: np.ndarray, lam,
-                      xp: np.ndarray, frozen: np.ndarray | None):
+def _newton_noda_step(T: TensorOperator, segs: _Segments, x: np.ndarray, lam: np.ndarray,
+                      xp: np.ndarray, frozen: np.ndarray):
     """One Newton-Noda step (Liu, Guo & Lin, Numer. Math. 2017) from x > 0.
 
     With lam the upper ratio bound of each vertex's segment,
     M = (r-1) diag(lam x^(r-2)) - J(x) is a symmetric M-matrix, block
     diagonal over the segments, and nonsingular while lam > rho on every
     block, so ``M w = x^[r-1]`` has a positive solution; one conjugate
-    gradient solve covers all blocks.  Vertices in the ``frozen`` mask (None
-    for none) keep their entries: their right-hand side is 0, so the solve
-    leaves them at 0 and never reads their block.  Returns the next iterate
-    before normalization, or None when the computed w is not finite and
-    strictly positive on the vertices that move.
+    gradient solve covers all blocks.  Vertices in the ``frozen`` mask keep
+    their entries: their right-hand side is 0, so the solve leaves them at 0
+    and never reads their block.  Returns the next iterate before
+    normalization, or None when the computed w is not finite and strictly
+    positive on the vertices that move.
     """
     r = T.order
     scale = (r - 1) * lam * x ** (r - 2)
     if not np.all(scale > 0):
         return None
-    rhs = xp if frozen is None else np.where(frozen, 0.0, xp)
+    rhs = np.where(frozen, 0.0, xp)
     w = _conjugate_gradient(lambda v: scale * v - T.jacobian_apply(x, v), rhs, scale)
-    if frozen is not None:
-        # x itself stands in for w, so that every segment sum is positive
-        w[frozen] = x[frozen]
+    # x itself stands in for w, so that every segment sum is positive
+    w[frozen] = x[frozen]
     if not (np.all(np.isfinite(w)) and np.all(w > 0)):
         return None
     step = (r - 2) / (r - 1) * x + segs.spread(segs.sums(x) / ((r - 1) * segs.sums(w))) * w
-    if frozen is not None:
-        step[frozen] = x[frozen]
+    step[frozen] = x[frozen]
     return step
 
 
@@ -303,8 +289,7 @@ def _iterate(T: TensorOperator, segs: _Segments, start: np.ndarray, shift: float
                 # a segment whose upper side is below the best lower side
                 # no longer moves the bracket, and its stale bracket still
                 # holds; near convergence its M block is nearly singular
-                stale = hi < lam_lo
-                frozen = segs.spread(stale) if stale.any() else None
+                frozen = segs.spread(hi < lam_lo)
                 step = _newton_noda_step(T, segs, x, segs.spread(hi) - shift, xp, frozen)
             newton_gap = gap
             if step is not None:
@@ -360,15 +345,13 @@ def power_iterate(T: TensorOperator, cfg: SolverConfig | None = None) -> EigenPa
     )
     lo, hi = lo_segs.max(), hi_segs.max()
     value = float(0.5 * (lo + hi) - cfg.shift)
-    if vertices is not None:
-        mine = segs.seg == np.argmax(lo_segs)
-        vector = np.zeros(T.dim)
-        vector[vertices[mine]] = x[mine]
-        x = vector
+    mine = segs.seg == np.argmax(lo_segs)
+    vector = np.zeros(T.dim)
+    vector[vertices[mine]] = x[mine]
     return EigenPair(
         value=value,
-        vector=x,
-        residual=eigen_residual(T, value, x),
+        vector=vector,
+        residual=eigen_residual(T, value, vector),
         iterations=iterations,
         lower=float(lo - cfg.shift),
         upper=float(hi - cfg.shift),

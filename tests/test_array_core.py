@@ -323,9 +323,10 @@ def _check_against_component_solves(H, kind, cfg):
     pair = spectral_radius(H, kind, cfg)
     value, lower, upper, _, _, _ = oracles.solve_components(H, kind, cfg)
     assert pair.converged
-    # both brackets hold in exact arithmetic; summed in another order, a
-    # closed one can land a few ulps off (K_{1,4}: Q gives [5 - 2^-50] once
-    # batched, [5] alone)
+    # both brackets hold in exact arithmetic; the oracle sums each component
+    # alone, in another order, so a closed bracket can land a few ulps off
+    # either way, and neither need hold after rounding (Q on K_{1,4}, alone
+    # or beside other components, gives [5 - 2^-50, 5 - 2^-50])
     slack = 8 * np.spacing(max(abs(upper), 1.0))
     assert pair.lower <= upper + slack and lower <= pair.upper + slack
     assert abs(pair.value - value) <= 2 * cfg.tolerance

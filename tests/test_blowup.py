@@ -2,6 +2,7 @@
 
 import importlib
 import itertools
+import json
 import math
 
 import numpy as np
@@ -29,6 +30,7 @@ from hyperspec import (
     single_edge,
     verify_blowup,
 )
+from hyperspec.cli import main
 
 # the package attribute ``hyperspec.blowup`` is the function, not the module
 blowup_mod = importlib.import_module("hyperspec.blowup")
@@ -76,14 +78,15 @@ def test_blowup_capacity_guards():
         blowup(loose_path(3, 2), max_vertices=10)
 
 
-def test_vertex_map_round_trip():
+def test_vertex_map_round_trip(capsys):
     bl = blowup(single_edge(3))
     for i, j, flat in bl.vertex_map():
         assert i * 3 + j == flat
         assert divmod(flat, 3) == (i, j)
-    import json
-
-    triples = json.loads(bl.vertex_map_json())
+    # the CLI reports the map with 1-based ids
+    assert main(["blowup", "--gen", "single_edge:3", "--json"]) == 0
+    triples = json.loads(capsys.readouterr().out)["vertex_map"]
+    assert triples == [[i + 1, j + 1, flat + 1] for i, j, flat in bl.vertex_map()]
     assert triples[0] == [1, 1, 1]
     assert triples[-1] == [3, 3, 9]
 

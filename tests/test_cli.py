@@ -163,12 +163,28 @@ def test_blowup_capacity_exit(capsys):
     assert "cap" in err
 
 
-@pytest.mark.parametrize("spec", ["complete:60,30", "random:100000,3,5000001,1"])
+@pytest.mark.parametrize(
+    "spec", ["complete:60,30", "random:100000,3,5000001,1", "loose_path:3,5000001"]
+)
 def test_generator_capacity_exit(capsys, spec):
     # refused before a single edge is enumerated or drawn
     code, _, err = run(capsys, ["spectrum", "--gen", spec, "--json"])
     assert code == 5
     assert "cap is 5000000" in err
+
+
+@pytest.mark.parametrize(
+    "name,text",
+    [("huge.hg", "10000000000000 3\n1 2 3\n"),
+     ("huge.json", '{"n": 10000000000000, "r": 3, "edges": [[1, 2, 3]]}')],
+)
+def test_failed_allocation_exits_as_capacity(tmp_path, capsys, name, text):
+    # the header's vertex count is refused by the allocator, not by a cap
+    path = tmp_path / name
+    path.write_text(text)
+    code, _, err = run(capsys, ["spectrum", "--in", str(path), "--json"])
+    assert code == 5
+    assert err.startswith("error: ")
 
 
 def test_verify_corpus(tmp_path, capsys):

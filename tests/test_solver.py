@@ -178,6 +178,40 @@ def test_isolated_vertices_contribute_zero():
     assert pair.vector[3] == pair.vector[4] == 0.0
 
 
+def _pad_with_isolated(H, where):
+    """H with three isolated vertices put after, before or between its
+    vertices by a monotone relabeling, and the new id of every old vertex."""
+    n = H.n
+    new_id = np.arange(n)
+    if where == "before":
+        new_id += 3
+    elif where == "between":
+        new_id += sum(new_id >= cut for cut in (1, n // 2, n - 1))
+    return UniformHypergraph(n + 3, H.r, new_id[H.edge_array]), new_id
+
+
+@pytest.mark.parametrize("where", ["after", "before", "between"])
+@pytest.mark.parametrize("shift", [1.0, 0.5])
+@pytest.mark.parametrize("kind", ["adjacency", "q"])
+@pytest.mark.parametrize(
+    "H",
+    [loose_path(2, 9), loose_path(3, 6), loose_path(4, 5), random_hypergraph(12, 3, 14, 0),
+     random_hypergraph(10, 4, 8, 1), complete(7, 3)],
+    ids=["path2", "path3", "path4", "random3", "random4", "complete"],
+)
+def test_isolated_vertices_change_no_output_bit(H, kind, shift, where):
+    # a connected input and the same input beside isolated vertices take
+    # one arithmetic path
+    assert H.is_connected()
+    cfg = SolverConfig(shift=shift)
+    padded, new_id = _pad_with_isolated(H, where)
+    pair, got = spectral_radius(H, kind, cfg), spectral_radius(padded, kind, cfg)
+    fields = ("value", "lower", "upper", "residual", "iterations", "converged")
+    assert [getattr(got, f) for f in fields] == [getattr(pair, f) for f in fields]
+    assert np.array_equal(got.vector[new_id], pair.vector)
+    assert np.count_nonzero(got.vector) == H.n
+
+
 def test_perron_vector_check():
     H = complete(5, 3)
     pair = spectral_radius(H, "adjacency")
