@@ -5,10 +5,11 @@ label in {0..r-1}; a blow-up edge combines a base edge with one of the r!
 ways to hand out distinct labels.  Its adjacency tensor factors as the
 direct product of the base adjacency with the all-distinct-labels tensor,
 and both spectral radii scale by (r-1)!.  The two apply identities are
-decided exactly, from the integer edge sets and degrees; the radii are
-solved independently on both sides.  Random trial vectors that compare the
-apply kernels numerically run only in :func:`check_product_identity` and
-:func:`check_q_identities`.
+decided exactly, from the integer edge sets and degrees.  Given them, the
+blow-up radius is not solved: the base bracket is lifted by (r-1)!, and one
+apply of the blow-up at (base Perron vector) x (all-ones labels) checks the
+lift.  Random trial vectors that compare the apply kernels numerically run
+only in :func:`check_product_identity` and :func:`check_q_identities`.
 """
 
 from __future__ import annotations
@@ -27,8 +28,6 @@ from .tensors import (
     ADJACENCY,
     SIGNLESS_LAPLACIAN,
     TensorOperator,
-    eigen_residual,
-    kron_vector,
     rayleigh,
 )
 
@@ -222,7 +221,16 @@ def check_product_identity(
 
 @dataclass
 class ScalingReport:
-    """Two independently solved radii compared under the (r-1)! scaling."""
+    """The blow-up radius lifted from the base solve under the (r-1)! scaling.
+
+    ``tilde_pair`` is the base pair lifted to the blow-up, with no solve of
+    its own: value and bracket are (r-1)! times the base ones, the vector is
+    (base Perron vector) x (all-ones labels) at r-norm 1, ``converged`` is
+    the base pair's, the residual is ``kron_residual`` and ``iterations`` is
+    0.  ``deviation`` is the largest relative difference between the
+    blow-up's ratios (Tx)_i / x_i^(r-1) at that vector and (r-1)! times the
+    base ratios, on the support of the base vector.
+    """
 
     factor: float
     base_pair: EigenPair
@@ -243,25 +251,45 @@ class ScalingReport:
         }
 
 
-def _scaling_check(bl, kind, cfg, tolerance, base_pair=None) -> ScalingReport:
-    # base_pair is the base solve, when it is already done
-    H, tilde = bl.base, bl.tilde
-    factor = float(math.factorial(H.r - 1))
-    cfg = cfg or SolverConfig()
+def _scaling_check(H, tilde_op, cfg, tolerance, base_pair=None) -> ScalingReport:
+    """Lift the base pair of ``tilde_op``'s kind to the blow-up operator
+    ``tilde_op``, checked by one apply on each side.
+
+    Given the apply identities, rho(tilde) is the base radius times the
+    radius (r-1)! of the all-distinct-labels tensor (Shao 2013), and the
+    ratios of the blow-up at x (x) 1 are (r-1)! times the base ratios at x,
+    so the base bracket lifts.  ``base_pair`` is the base solve, when it is
+    already done.
+    """
+    r = H.r
+    factor = float(math.factorial(r - 1))
     if base_pair is None:
-        base_pair = spectral_radius(H, kind, cfg)
-    tilde_pair = spectral_radius(tilde, kind, cfg)
-    deviation = abs(tilde_pair.value - factor * base_pair.value)
-    kron_vec = kron_vector(base_pair.vector, np.ones(H.r))
-    kron_residual = eigen_residual(
-        TensorOperator.for_hypergraph(tilde, kind), factor * base_pair.value, kron_vec
+        base_pair = spectral_radius(H, tilde_op.kind, cfg)
+    x = base_pair.vector
+    xp = x ** (r - 1)
+    value = factor * base_pair.value
+    lifted, lifted_p = np.repeat(x, r), np.repeat(xp, r)
+    tilde_y = tilde_op.apply(lifted)
+    kron_residual = float(np.max(np.abs(tilde_y - value * lifted_p)) / np.max(lifted_p))
+    # on a disconnected base, x is zero off the winning component
+    support = x > 0
+    base_y = TensorOperator.for_hypergraph(H, tilde_op.kind).apply(x)
+    # an entry of x whose power underflows gives an infinite ratio, which
+    # turns the deviation nan and fails the check
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        base_ratios = base_y[support] / xp[support]
+        tilde_ratios = (tilde_y / lifted_p).reshape(-1, r)[support]
+        deviation = _relative_max_error(tilde_ratios, factor * base_ratios[:, None])
+    tilde_pair = EigenPair(
+        value=value,
+        vector=lifted / np.sum(lifted**r) ** (1.0 / r),
+        residual=kron_residual,
+        iterations=0,
+        lower=factor * base_pair.lower,
+        upper=factor * base_pair.upper,
+        converged=base_pair.converged,
     )
-    ok = (
-        base_pair.converged
-        and tilde_pair.converged
-        and deviation <= tolerance
-        and kron_residual <= tolerance
-    )
+    ok = base_pair.converged and deviation <= tolerance and kron_residual <= tolerance
     return ScalingReport(factor, base_pair, tilde_pair, deviation, kron_residual, tolerance, ok)
 
 
@@ -272,8 +300,13 @@ def check_spectral_scaling(
 ) -> ScalingReport:
     """Adjacency radius of the blow-up must equal (r-1)! times the base
     radius, and (base Perron vector) x (all-ones labels) must be the
-    matching eigenvector."""
-    return _scaling_check(blowup(H), ADJACENCY, cfg, tolerance)
+    matching eigenvector.
+
+    The blow-up radius is not solved: the base bracket is lifted, and one
+    apply of the blow-up at that vector checks the lift (see
+    :class:`ScalingReport`).
+    """
+    return _scaling_check(H, TensorOperator.adjacency(blowup(H).tilde), cfg, tolerance)
 
 
 @dataclass
@@ -304,9 +337,9 @@ def check_q_identities(
     """The blow-up signless Laplacian must equal
     (r-1)! (degree x unit) + (adjacency x all-distinct-labels),
     and its radius must be (r-1)! times the base radius."""
-    bl = blowup(H)
-    _, apply_ok, worst = _identity_trials(H, bl.tilde, trials, seed, rtol)
-    scaling = _scaling_check(bl, SIGNLESS_LAPLACIAN, cfg, tolerance)
+    tilde = blowup(H).tilde
+    _, apply_ok, worst = _identity_trials(H, tilde, trials, seed, rtol)
+    scaling = _scaling_check(H, TensorOperator.signless_laplacian(tilde), cfg, tolerance)
     return QIdentityReport(apply_ok, worst, scaling, apply_ok and scaling.ok)
 
 
@@ -343,8 +376,9 @@ def verify_blowup(
     """Run the full blow-up identity suite on one hypergraph in one pass.
 
     The blow-up is built once, and both apply identities are decided
-    exactly from its edge set and degrees, with no random trials; each
-    radius is solved once.  ``base_pairs`` maps a kind to its already
+    exactly from its edge set and degrees, with no random trials; each base
+    radius is solved once, and the blow-up radii are lifted from them, with
+    one blow-up operator per kind.  ``base_pairs`` maps a kind to its already
     solved base pair (as from :func:`verify_bounds`); kinds missing from it
     are solved here.  Raises :class:`CapacityError` when the blow-up is
     over the caps of :func:`blowup`.
@@ -356,17 +390,25 @@ def verify_blowup(
     else:
         connectivity_ok = True  # no claim for r=2
     product, apply_ok, apply_error = _identity_trials(H, bl.tilde, 0, 0, IDENTITY_RTOL)
+    # the adjacency operator of the blow-up also takes the certificate
+    tilde_a = TensorOperator.adjacency(bl.tilde)
+    tilde_q = TensorOperator.signless_laplacian(bl.tilde)
     scaling, q_scaling = (
-        _scaling_check(bl, kind, cfg, SCALING_TOLERANCE, base_pairs.get(kind))
-        for kind in (ADJACENCY, SIGNLESS_LAPLACIAN)
+        _scaling_check(H, op, cfg, SCALING_TOLERANCE, base_pairs.get(op.kind))
+        for op in (tilde_a, tilde_q)
     )
     q_identities = QIdentityReport(apply_ok, apply_error, q_scaling, apply_ok and q_scaling.ok)
     if H.num_edges > 0:
         cert = certificate_vector(H, optimal_weights(H))
-        achieved = rayleigh(TensorOperator.adjacency(bl.tilde), cert)
+        achieved = rayleigh(tilde_a, cert)
         target = math.factorial(H.r - 1) * degree_power_mean_bound(H)
         certificate_gap = abs(achieved - target)
-        certificate_ok = certificate_gap <= 1e-8
+        # relative to the target: every summand is positive, so the rounding
+        # of the apply's sums (up to the largest blow-up degree of terms),
+        # of the dot product (r n terms) and of the certificate entries and
+        # the power mean (a few ulps each) stays within this many ulps
+        ulps = int(bl.tilde.degree_array.max()) + bl.tilde.n + 4 * H.r
+        certificate_ok = certificate_gap <= ulps * math.ulp(1.0) * target
     else:
         certificate_gap = 0.0
         certificate_ok = True

@@ -28,6 +28,7 @@ from hyperspec import (
     loose_path,
     random_hypergraph,
     single_edge,
+    spectral_radius,
     verify_blowup,
 )
 from hyperspec.cli import main
@@ -332,6 +333,59 @@ def test_scaling_on_disconnected_input():
     assert abs(report.base_pair.value - 1.0) < 1e-9
     assert abs(report.tilde_pair.value - 2.0) < 1e-9
     assert report.deviation <= 1e-6
+
+
+@st.composite
+def _lift_cases(draw):
+    """A small r-uniform graph, r = 2..5, possibly disconnected or edgeless."""
+    r = draw(st.integers(2, 5))
+    n = draw(st.integers(r, r + 4))
+    m = draw(st.integers(0, min(6, math.comb(n, r))))
+    return random_hypergraph(n, r, m, draw(st.integers(0, 10**6)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_lift_cases(), st.sampled_from(["adjacency", "signless-laplacian"]))
+@example(UniformHypergraph(6, 3, ((0, 1, 2), (3, 4, 5))), "adjacency")
+@example(UniformHypergraph(7, 3, ((0, 1, 2), (3, 4, 5), (3, 4, 6))), "signless-laplacian")
+@example(UniformHypergraph(5, 4), "adjacency")
+@example(UniformHypergraph(5, 4), "signless-laplacian")
+def test_lifted_bracket_meets_an_independent_blowup_solve(H, kind):
+    # the oracle: the blow-up solved from scratch.  Both brackets enclose
+    # rho(tilde) up to rounding, so they must meet.  A ratio of the shifted
+    # blow-up operator sums up to its largest degree of positive terms; its
+    # rounding bounds how far apart they may be.  The midpoint of one
+    # bracket need not lie in the other, as both are up to 1e-10 wide
+    bl = blowup(H)
+    report = blowup_mod._scaling_check(
+        H, TensorOperator.for_hypergraph(bl.tilde, kind), None, blowup_mod.SCALING_TOLERANCE
+    )
+    lifted = report.tilde_pair
+    solved = spectral_radius(bl.tilde, kind)
+    assert solved.converged and lifted.converged and report.ok
+    degree = int(bl.tilde.degree_array.max(initial=0))
+    slack = (degree + 2 * H.r) * math.ulp(lifted.upper + 1.0)
+    assert solved.lower <= lifted.upper + slack
+    assert lifted.lower <= solved.upper + slack
+    assert report.deviation <= 1e-13
+    assert lifted.iterations == 0
+    assert np.isclose(np.sum(lifted.vector**H.r), 1.0, rtol=1e-14)
+
+
+def test_certificate_gate_is_relative_to_its_target(monkeypatch):
+    # the Rayleigh quotient of complete(12, 6)'s certificate misses its
+    # target 55,440 by 2.6e-8, rounding over 55,440-term sums; a certificate
+    # that falls short by 1e-9 relative still fails
+    H = complete(12, 6)
+    result = verify_blowup(H)
+    assert result.ok and result.certificate_ok
+    original = blowup_mod.certificate_vector
+    monkeypatch.setattr(
+        blowup_mod, "certificate_vector", lambda G, w: original(G, w) * (1 - 1e-9) ** (1 / G.r)
+    )
+    result = verify_blowup(H)
+    assert not result.certificate_ok and not result.ok
+    assert result.scaling.ok and result.q_identities.ok
 
 
 def test_verify_blowup_aggregate():

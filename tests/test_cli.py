@@ -269,6 +269,58 @@ def test_verify_solves_each_radius_once(capsys, monkeypatch):
     assert solved and max(solved.values()) == 1
 
 
+def test_verify_never_solves_a_blowup(tmp_path, capsys, monkeypatch):
+    # the blow-up radius is lifted from the base solve: no power iteration
+    # runs on an operator of a blow-up, in verify or in blowup --verify
+    blowup_mod = importlib.import_module("hyperspec.blowup")
+    solver_mod = importlib.import_module("hyperspec.solver")
+    tildes, iterated = [], []
+    build, iterate = blowup_mod.blowup, solver_mod.power_iterate
+
+    def recorded_build(H, *args, **kwargs):
+        bl = build(H, *args, **kwargs)
+        tildes.append(bl.tilde)
+        return bl
+
+    def recorded_iterate(T, cfg=None):
+        iterated.append(T)
+        return iterate(T, cfg)
+
+    monkeypatch.setattr(blowup_mod, "blowup", recorded_build)
+    monkeypatch.setattr(solver_mod, "power_iterate", recorded_iterate)
+    path = tmp_path / "base.hg"
+    path.write_text(render_hypergraph(generate("random:10,4,8,3")))
+    for argv in (["verify", "--json"], ["blowup", "--in", str(path), "--verify", "--json"]):
+        code, _, _ = run(capsys, argv)
+        assert code == 0
+    assert len(tildes) == len(BUILTIN_INSTANCES) + 1 and iterated
+    assert not any(T.hypergraph == tilde for T in iterated for tilde in tildes)
+
+
+@pytest.mark.parametrize("spec", ["single_edge:3", "loose_path:3,2", "random:10,4,8,3",
+                                  "disjoint_pair", "edgeless"])
+def test_blowup_verify_json_pairs_are_pinned(tmp_path, capsys, spec):
+    graphs = {"disjoint_pair": UniformHypergraph(6, 3, ((0, 1, 2), (3, 4, 5))),
+              "edgeless": UniformHypergraph(4, 3)}
+    if spec in graphs:
+        path = tmp_path / "base.hg"
+        path.write_text(render_hypergraph(graphs[spec]))
+        source = ["--in", str(path)]
+    else:
+        source = ["--gen", spec]
+    code, out, _ = run(capsys, ["blowup", *source, "--verify", "--json"])
+    assert code == 0
+    check = json.loads(out)["verify"]
+    for scaling in (check["scaling"], check["q"]["scaling"]):
+        for side in ("base", "tilde"):
+            pair = scaling[side]
+            assert set(pair) == {"lambda", "lower", "upper", "residual", "iterations",
+                                 "converged"}
+            assert pair["lower"] <= pair["lambda"] <= pair["upper"]
+        assert scaling["tilde"]["iterations"] == 0
+        assert scaling["tilde"]["converged"] is True
+
+
 BUILTIN_INSTANCES = [
     "complete:4,3", "complete:5,3", "complete:6,3",
     "single_edge:3", "single_edge:4", "single_edge:5",
