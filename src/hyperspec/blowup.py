@@ -37,7 +37,8 @@ BLOWUP_EDGE_CAP = 5_000_000
 #: Default relative tolerance of the apply identities.
 IDENTITY_RTOL = 1e-10
 
-#: Default tolerance for comparing two independently solved radii.
+#: Default relative tolerance of the lifted blow-up pair: the ratio deviation
+#: and the residual over the lifted radius.
 SCALING_TOLERANCE = 1e-6
 
 
@@ -229,7 +230,9 @@ class ScalingReport:
     the base pair's, the residual is ``kron_residual`` and ``iterations`` is
     0.  ``deviation`` is the largest relative difference between the
     blow-up's ratios (Tx)_i / x_i^(r-1) at that vector and (r-1)! times the
-    base ratios, on the support of the base vector.
+    base ratios, on the support of the base vector.  The check passes when
+    the base pair converged, ``deviation`` is within ``tolerance`` and
+    ``kron_residual`` within ``tolerance`` times the lifted radius.
     """
 
     factor: float
@@ -289,7 +292,9 @@ def _scaling_check(H, tilde_op, cfg, tolerance, base_pair=None) -> ScalingReport
         upper=factor * base_pair.upper,
         converged=base_pair.converged,
     )
-    ok = base_pair.converged and deviation <= tolerance and kron_residual <= tolerance
+    # the residual is in units of value, so it is gated relative to it;
+    # value is 0 only without edges, and the residual is then 0 too
+    ok = base_pair.converged and deviation <= tolerance and kron_residual <= tolerance * value
     return ScalingReport(factor, base_pair, tilde_pair, deviation, kron_residual, tolerance, ok)
 
 

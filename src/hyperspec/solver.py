@@ -37,10 +37,13 @@ gap is checked every ``STALL_WINDOW`` iterations; if it shrank by less than
 half, the run switches to Newton-Noda steps (Liu, Guo & Lin 2017), which
 converge in a handful of steps.  Each vertex's lam is its segment's upper
 side, so the Jacobian system is block diagonal and one conjugate gradient
-solve covers every segment.  A segment whose upper side is below the best
-lower side can no longer move the run's bracket; it is frozen for the step
-(its entries stay, and its stale bracket still holds), since its block,
-long converged, is nearly singular and would spoil the step for all.  Every
+solve covers every segment.  The iterate is fixed for the whole solve, so
+the Jacobian's x-only work (the gather, the prefix and suffix products and
+the diagonal) is done once per step, not once per conjugate gradient
+product.  A segment whose upper side is below the best lower side can no
+longer move the run's bracket; it is frozen for the step (its entries stay,
+and its stale bracket still holds), since its block, long converged, is
+nearly singular and would spoil the step for all.  Every
 step, of either kind, counts as one iteration, and the bracket always comes
 from the ratios at the iterate.
 """
@@ -129,27 +132,36 @@ class EigenPair:
         }
 
 
-def _conjugate_gradient(matvec, b: np.ndarray, diag: np.ndarray) -> np.ndarray:
-    """Conjugate gradient for a symmetric positive definite system,
-    preconditioned by the positive diagonal ``diag``, stopped at relative
-    residual ``CG_RTOL`` or after ``len(b)`` steps, whichever comes first."""
+def _conjugate_gradient(jacobian, scale: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Conjugate gradient for the symmetric positive definite system
+    ``(diag(scale) - J) w = b``, with ``jacobian`` the product ``v -> J v``
+    built once for the solve, preconditioned by the positive diagonal
+    ``scale``, stopped at relative residual ``CG_RTOL`` or after ``len(b)``
+    steps, whichever comes first.  The vectors are allocated once and
+    updated in place."""
     x = np.zeros_like(b)
     res = b.copy()
-    z = res / diag
+    z = res / scale
     p = z.copy()
+    work = np.empty_like(b)
     rz = float(res @ z)
-    stop = CG_RTOL * float(np.linalg.norm(b))
+    # math.sqrt(v @ v) is np.linalg.norm(v) for a 1-D float array
+    stop = CG_RTOL * math.sqrt(b @ b)
     for _ in range(len(b)):
-        q = matvec(p)
+        q = jacobian(p)
+        np.multiply(scale, p, out=work)
+        np.subtract(work, q, out=q)
         pq = float(p @ q)
         if not pq > 0.0:
             break
         alpha = rz / pq
-        x += alpha * p
-        res -= alpha * q
-        if float(np.linalg.norm(res)) <= stop:
+        np.multiply(p, alpha, out=work)
+        x += work
+        q *= alpha
+        res -= q
+        if math.sqrt(res @ res) <= stop:
             break
-        z = res / diag
+        np.divide(res, scale, out=z)
         rz_next = float(res @ z)
         p *= rz_next / rz
         p += z
@@ -224,18 +236,19 @@ def _newton_noda_step(T: TensorOperator, segs: _Segments, x: np.ndarray, lam: np
     M = (r-1) diag(lam x^(r-2)) - J(x) is a symmetric M-matrix, block
     diagonal over the segments, and nonsingular while lam > rho on every
     block, so ``M w = x^[r-1]`` has a positive solution; one conjugate
-    gradient solve covers all blocks.  Vertices in the ``frozen`` mask keep
-    their entries: their right-hand side is 0, so the solve leaves them at 0
-    and never reads their block.  Returns the next iterate before
-    normalization, or None when the computed w is not finite and strictly
-    positive on the vertices that move.
+    gradient solve covers all blocks, with J(x) built once for it.
+    Vertices in the ``frozen`` mask keep their entries: their right-hand
+    side is 0, so the solve leaves them at 0 and never reads their block.
+    Returns the next iterate before normalization, or None when the
+    computed w is not finite and strictly positive on the vertices that
+    move.
     """
     r = T.order
     scale = (r - 1) * lam * x ** (r - 2)
     if not np.all(scale > 0):
         return None
     rhs = np.where(frozen, 0.0, xp)
-    w = _conjugate_gradient(lambda v: scale * v - T.jacobian_apply(x, v), rhs, scale)
+    w = _conjugate_gradient(T.jacobian(x), scale, rhs)
     # x itself stands in for w, so that every segment sum is positive
     w[frozen] = x[frozen]
     if not (np.all(np.isfinite(w)) and np.all(w > 0)):

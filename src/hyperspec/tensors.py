@@ -9,6 +9,7 @@ storage is reserved for small dimensions (cap 12 by default).
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from itertools import permutations
 
 import numpy as np
@@ -239,36 +240,68 @@ class TensorOperator:
             return self._apply_adjacency(x)
         return self._deg * x ** (self.order - 1) + self._apply_adjacency(x)
 
-    def jacobian_apply(self, x, v) -> np.ndarray:
-        """The Jacobian of ``x -> Tx`` at x, applied to v.
+    def jacobian(self, x) -> Callable[[np.ndarray], np.ndarray]:
+        """The Jacobian of ``x -> Tx`` at x, as the product ``v -> J(x) v``.
 
         For the adjacency kind, entry (i, j) of the Jacobian is the sum, over
         edges containing both i and j, of the product of x over the rest of
         the edge; the signless Laplacian adds ``(r-1) d x^(r-2)`` on the
         diagonal.  The Jacobian is symmetric and, by Euler's identity for
-        homogeneous maps, ``J(x) x = (r-1) Tx``.  No matrix is built: time
-        and memory are O(m r), as for one apply.
+        homogeneous maps, ``J(x) x = (r-1) Tx``.  No matrix is built: the
+        gather of x, its prefix and suffix products and the diagonal are
+        computed here once, and each product then costs O(m r) time, as one
+        apply, in work rows allocated once, so one product function must not
+        run in two threads at once; the operator itself keeps no state.
+        Every product returns a new array.
         """
         if self.kind not in HYPERGRAPH_KINDS:
-            raise ValueError(f"jacobian_apply is not defined for kind {self.kind!r}")
+            raise ValueError(f"jacobian is not defined for kind {self.kind!r}")
         x = np.asarray(x, dtype=float)
-        v = np.asarray(v, dtype=float)
-        if x.shape != (self.dim,) or v.shape != (self.dim,):
-            raise ValueError(f"vector dimensions {x.shape}, {v.shape} do not match {self.dim}")
-        gx, gv = x[self._slots], v[self._slots]
-        lo, hi = self._prefix_suffix(gx)
-        # directional derivatives along v of the prefix and suffix products
-        dlo = np.zeros_like(gx)
-        dhi = np.zeros_like(gx)
+        if x.shape != (self.dim,):
+            raise ValueError(f"vector dimension {x.shape} does not match {self.dim}")
         r = self.order
-        for p in range(1, r):
-            dlo[p] = dlo[p - 1] * gx[p - 1] + lo[p - 1] * gv[p - 1]
-            q = r - 1 - p
-            dhi[q] = dhi[q + 1] * gx[q + 1] + hi[q + 1] * gv[q + 1]
-        out = self._edge_sum(dlo * hi + lo * dhi)
-        if self.kind == SIGNLESS_LAPLACIAN:
-            out += (r - 1) * self._deg * x ** (r - 2) * v
-        return out
+        slots = self._slots
+        gx = x[slots]
+        lo, hi = self._prefix_suffix(gx)
+        diag = (r - 1) * self._deg * x ** (r - 2) if self.kind == SIGNLESS_LAPLACIAN else None
+        # dlo holds the directional derivatives of the prefix products
+        # (whose row 0 is 0, as is row r-1 of the suffix ones), then each
+        # slot's term
+        dlo = np.empty_like(gx)
+        tmp = np.empty_like(gx[0])
+
+        def product(v) -> np.ndarray:
+            v = np.asarray(v, dtype=float)
+            if v.shape != (self.dim,):
+                raise ValueError(f"vector dimension {v.shape} does not match {self.dim}")
+            gv = v[slots]
+            # The recurrences d(lo)[p] = d(lo)[p-1] gx[p-1] + lo[p-1] gv[p-1]
+            # and its mirror for the suffix, and the terms
+            # d(lo) hi + lo d(hi), less their exact steps: products with
+            # lo[0] = hi[r-1] = 1 and sums with the zero rows.  Each entry
+            # rounds as in the full recurrences, up to the sign of a zero.
+            dlo[1] = gv[0]
+            for p in range(2, r):
+                np.multiply(dlo[p - 1], gx[p - 1], out=dlo[p])
+                np.multiply(lo[p - 1], gv[p - 1], out=tmp)
+                dlo[p] += tmp
+            # a running suffix derivative, in the gather's last row, which
+            # the prefix recurrence does not read
+            run = gv[r - 1]
+            for q in range(r - 2, 0, -1):
+                dlo[q] *= hi[q]
+                np.multiply(lo[q], run, out=tmp)
+                dlo[q] += tmp
+                run *= gx[q]
+                np.multiply(hi[q], gv[q], out=tmp)
+                run += tmp
+            dlo[0] = run
+            out = self._edge_sum(dlo)
+            if diag is not None:
+                out += diag * v
+            return out
+
+        return product
 
 
 def adjacency_apply(H: UniformHypergraph, x) -> np.ndarray:

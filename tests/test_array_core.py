@@ -428,7 +428,7 @@ def test_kernel_matches_cumprod_bit_for_bit(r, monkeypatch):
 
     monkeypatch.setattr(TensorOperator, "_edge_sum", recorded)
     ops = [TensorOperator.for_hypergraph(H, k) for k in ("adjacency", "signless-laplacian")]
-    got = [(op.apply(x), op.jacobian_apply(x, v)) for op in ops]
+    got = [(op.apply(x), op.jacobian(x)(v)) for op in ops]
     apply_terms, jacobian_terms = oracles.edge_major_terms(H, x), oracles.edge_major_terms(H, x, v)
     assert np.array_equal(apply_terms, lo * hi)
     assert len(terms) == 4

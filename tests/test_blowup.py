@@ -312,6 +312,15 @@ def test_spectral_scaling_complete_4_3():
     assert report.ok
 
 
+def test_spectral_scaling_residual_is_gated_relative_to_the_lifted_radius():
+    # lambda~ = 5! * 56 = 6720: the residual reads about 1e-9 in absolute
+    # terms, but only rounding, about 1.5e-13 of lambda~, like the deviation
+    report = check_spectral_scaling(complete(9, 6), tolerance=1e-11)
+    assert report.kron_residual > 1e-11
+    assert report.deviation <= 1e-11
+    assert report.ok
+
+
 def test_q_identities_acceptance_values():
     report = check_q_identities(single_edge(3))
     assert report.apply_ok

@@ -73,11 +73,14 @@ def test_newton_noda_fallback_to_power_iteration(monkeypatch):
     # positive, so the solve must finish by power iteration alone
     calls = []
 
-    def broken(self, x, v):
-        calls.append(1)
-        return 1e6 * np.asarray(v)
+    def broken(self, x):
+        def product(v):
+            calls.append(1)
+            return 1e6 * np.asarray(v)
 
-    monkeypatch.setattr(TensorOperator, "jacobian_apply", broken)
+        return product
+
+    monkeypatch.setattr(TensorOperator, "jacobian", broken)
     pair = spectral_radius(loose_path(3, 50), "adjacency")
     assert calls
     assert pair.converged
@@ -102,6 +105,29 @@ def test_newton_noda_hands_back_at_rounding_level(monkeypatch):
     assert pair.iterations == 2000
     assert 0 < len(steps) <= 20
     assert pair.lower <= rho_loose_path(3, 50) <= pair.upper
+
+
+def test_newton_noda_builds_the_jacobian_once_per_step(monkeypatch):
+    # the prefix and suffix products of x are computed once per step, not
+    # once per conjugate gradient product
+    steps, builds = [], []
+    real_step = solver._newton_noda_step
+    real_prefix_suffix = TensorOperator._prefix_suffix
+
+    def counted_step(*args):
+        steps.append(1)
+        return real_step(*args)
+
+    def counted_prefix_suffix(gathered):
+        builds.append(1)
+        return real_prefix_suffix(gathered)
+
+    monkeypatch.setattr(solver, "_newton_noda_step", counted_step)
+    monkeypatch.setattr(TensorOperator, "_prefix_suffix", staticmethod(counted_prefix_suffix))
+    pair = spectral_radius(loose_path(3, 60), "q")
+    assert pair.converged
+    assert steps
+    assert len(builds) == len(steps)
 
 
 def test_distinct_index_tensor_radius():

@@ -126,20 +126,53 @@ def test_jacobian_apply_matches_dense_contraction(case, kind):
     for _ in range(H.r - 2):
         matrix = matrix.dot(x)
     np.testing.assert_allclose(
-        T.jacobian_apply(x, v), (H.r - 1) * matrix.dot(v), rtol=1e-12, atol=1e-12
+        T.jacobian(x)(v), (H.r - 1) * matrix.dot(v), rtol=1e-12, atol=1e-12
     )
     # Euler's identity for the degree-(r-1) homogeneous apply
     np.testing.assert_allclose(
-        T.jacobian_apply(x, x), (H.r - 1) * T.apply(x), rtol=1e-12, atol=1e-12
+        T.jacobian(x)(x), (H.r - 1) * T.apply(x), rtol=1e-12, atol=1e-12
     )
+
+
+@st.composite
+def _jacobian_pair_cases(draw):
+    r = draw(st.integers(2, 6))
+    n = draw(st.integers(r, r + 2))
+    m = draw(st.integers(0, 9))
+    H = random_hypergraph(n, r, min(m, math.comb(n, r)), draw(st.integers(0, 10**6)))
+    entries = st.floats(0.05, 2.0, allow_nan=False)
+    x = np.array(draw(st.lists(entries, min_size=n, max_size=n)))
+    v1, v2 = (np.array(draw(st.lists(st.floats(-2.0, 2.0), min_size=n, max_size=n)))
+              for _ in range(2))
+    return H, x, v1, v2
+
+
+@settings(max_examples=60, deadline=None)
+@given(_jacobian_pair_cases(), st.sampled_from(["adjacency", "signless-laplacian"]))
+def test_jacobian_products_share_no_result_buffer(case, kind):
+    # one product function reuses its work rows across calls; no result
+    # may alias them
+    H, x, v1, v2 = case
+    T = TensorOperator.for_hypergraph(H, kind)
+    jac = T.jacobian(x)
+    first = jac(v1)
+    kept = first.copy()
+    second = jac(v2)
+    assert np.array_equal(first, kept)
+    matrix = dense_tensor_of(H, kind).entries
+    for _ in range(H.r - 2):
+        matrix = matrix.dot(x)
+    for v, got in ((v1, first), (v2, second)):
+        assert np.array_equal(got, T.jacobian(x)(v))
+        np.testing.assert_allclose(got, (H.r - 1) * matrix.dot(v), rtol=1e-12, atol=1e-12)
 
 
 def test_jacobian_apply_rejects_other_kinds_and_dimensions():
     H = single_edge(3)
     with pytest.raises(ValueError):
-        TensorOperator.dense(distinct_index_tensor(3)).jacobian_apply(np.ones(3), np.ones(3))
+        TensorOperator.dense(distinct_index_tensor(3)).jacobian(np.ones(3))(np.ones(3))
     with pytest.raises(ValueError):
-        TensorOperator.adjacency(H).jacobian_apply(np.ones(3), np.ones(2))
+        TensorOperator.adjacency(H).jacobian(np.ones(3))(np.ones(2))
 
 
 # dense tensors
