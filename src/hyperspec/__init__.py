@@ -38,19 +38,16 @@ from .hypergraph import (
 from .solver import (
     EigenPair,
     SolverConfig,
-    perron_vector_check,
     power_iterate,
     spectral_radius,
 )
 from .tensors import (
     DenseTensor,
     TensorOperator,
-    adjacency_apply,
     dense_tensor_of,
     direct_product,
     distinct_index_tensor,
     eigen_residual,
-    kron_vector,
     rayleigh,
 )
 

@@ -130,11 +130,7 @@ class ProductIdentityCheck:
 
     ok: bool
     max_relative_error: float
-    trials: int
     witness: np.ndarray | None = field(default=None, repr=False)
-
-    def __bool__(self) -> bool:
-        return self.ok
 
 
 def _relative_max_error(a: np.ndarray, b: np.ndarray) -> float:
@@ -142,7 +138,7 @@ def _relative_max_error(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.max(np.abs(a - b))) / scale
 
 
-def _identity_trials(H, tilde, trials, seed, rtol) -> tuple[ProductIdentityCheck, bool, float]:
+def _identity_trials(H, tilde, trials, seed, rtol) -> tuple[ProductIdentityCheck, bool]:
     """Both apply identities of the blow-up ``tilde``, decided exactly.
 
     Its adjacency must equal the product (base adjacency) x (all-distinct
@@ -160,9 +156,8 @@ def _identity_trials(H, tilde, trials, seed, rtol) -> tuple[ProductIdentityCheck
     apply kernels numerically, applying the product through
     :func:`kronecker_adjacency_apply` and the diagonal degree term as a
     vector; a trial can only turn a flag false.  Returns the product check,
-    then whether the signless Laplacian identity held and its worst trial
-    error up to the first failing trial.  The loop ends early only once
-    both trial comparisons have failed.
+    then whether the signless Laplacian identity held.  The loop ends early
+    only once both trial comparisons have failed.
     """
     r, rn = H.r, tilde.n
     base, labels = np.divmod(tilde.edge_array, r)
@@ -175,7 +170,7 @@ def _identity_trials(H, tilde, trials, seed, rtol) -> tuple[ProductIdentityCheck
     )
     scaled_deg = math.factorial(r - 1) * np.repeat(H.degree_array, r)
     q_ok = product_ok and np.array_equal(tilde.degree_array, scaled_deg)
-    product_worst = apply_worst = 0.0
+    product_worst = 0.0
     witness = None
     apply_ok = True
     if trials > 0 and rn == r * H.n:
@@ -193,13 +188,12 @@ def _identity_trials(H, tilde, trials, seed, rtol) -> tuple[ProductIdentityCheck
             if apply_ok:
                 degree_w = scaled_deg * w ** (r - 1)
                 err = _relative_max_error(lhs_signless.apply(w), degree_w + product_w)
-                apply_worst = max(apply_worst, err)
-                if apply_worst > rtol:
+                if err > rtol:
                     apply_ok = False
             if witness is not None and not apply_ok:
                 break
-    check = ProductIdentityCheck(product_ok and witness is None, product_worst, trials, witness)
-    return check, q_ok and apply_ok, apply_worst
+    check = ProductIdentityCheck(product_ok and witness is None, product_worst, witness)
+    return check, q_ok and apply_ok
 
 
 def check_product_identity(
@@ -231,8 +225,9 @@ class ScalingReport:
     0.  ``deviation`` is the largest relative difference between the
     blow-up's ratios (Tx)_i / x_i^(r-1) at that vector and (r-1)! times the
     base ratios, on the support of the base vector.  The check passes when
-    the base pair converged, ``deviation`` is within ``tolerance`` and
-    ``kron_residual`` within ``tolerance`` times the lifted radius.
+    the base pair converged, ``deviation`` is within the check's tolerance
+    (``SCALING_TOLERANCE`` by default) and ``kron_residual`` within that
+    tolerance times the lifted radius.
     """
 
     factor: float
@@ -240,7 +235,6 @@ class ScalingReport:
     tilde_pair: EigenPair
     deviation: float
     kron_residual: float
-    tolerance: float
     ok: bool
 
     def to_json(self) -> dict:
@@ -295,7 +289,7 @@ def _scaling_check(H, tilde_op, cfg, tolerance, base_pair=None) -> ScalingReport
     # the residual is in units of value, so it is gated relative to it;
     # value is 0 only without edges, and the residual is then 0 too
     ok = base_pair.converged and deviation <= tolerance and kron_residual <= tolerance * value
-    return ScalingReport(factor, base_pair, tilde_pair, deviation, kron_residual, tolerance, ok)
+    return ScalingReport(factor, base_pair, tilde_pair, deviation, kron_residual, ok)
 
 
 def check_spectral_scaling(
@@ -319,7 +313,6 @@ class QIdentityReport:
     """Signless Laplacian blow-up checks: apply identity plus scaling."""
 
     apply_ok: bool
-    max_apply_error: float
     scaling: ScalingReport
     ok: bool
 
@@ -343,9 +336,9 @@ def check_q_identities(
     (r-1)! (degree x unit) + (adjacency x all-distinct-labels),
     and its radius must be (r-1)! times the base radius."""
     tilde = blowup(H).tilde
-    _, apply_ok, worst = _identity_trials(H, tilde, trials, seed, rtol)
+    _, apply_ok = _identity_trials(H, tilde, trials, seed, rtol)
     scaling = _scaling_check(H, TensorOperator.signless_laplacian(tilde), cfg, tolerance)
-    return QIdentityReport(apply_ok, worst, scaling, apply_ok and scaling.ok)
+    return QIdentityReport(apply_ok, scaling, apply_ok and scaling.ok)
 
 
 @dataclass
@@ -394,7 +387,7 @@ def verify_blowup(
         connectivity_ok = bl.tilde.is_connected() == H.is_connected()
     else:
         connectivity_ok = True  # no claim for r=2
-    product, apply_ok, apply_error = _identity_trials(H, bl.tilde, 0, 0, IDENTITY_RTOL)
+    product, apply_ok = _identity_trials(H, bl.tilde, 0, 0, IDENTITY_RTOL)
     # the adjacency operator of the blow-up also takes the certificate
     tilde_a = TensorOperator.adjacency(bl.tilde)
     tilde_q = TensorOperator.signless_laplacian(bl.tilde)
@@ -402,7 +395,7 @@ def verify_blowup(
         _scaling_check(H, op, cfg, SCALING_TOLERANCE, base_pairs.get(op.kind))
         for op in (tilde_a, tilde_q)
     )
-    q_identities = QIdentityReport(apply_ok, apply_error, q_scaling, apply_ok and q_scaling.ok)
+    q_identities = QIdentityReport(apply_ok, q_scaling, apply_ok and q_scaling.ok)
     if H.num_edges > 0:
         cert = certificate_vector(H, optimal_weights(H))
         achieved = rayleigh(tilde_a, cert)

@@ -26,7 +26,6 @@ from .hypergraph import (
 )
 from .solver import (
     DEFAULT_MAX_ITERATIONS,
-    DEFAULT_SHIFT,
     DEFAULT_TOLERANCE,
     SolverConfig,
     spectral_radius,
@@ -52,11 +51,7 @@ def _resolve_input(args) -> tuple[UniformHypergraph, str]:
 
 
 def _config(args) -> SolverConfig:
-    return SolverConfig(
-        tolerance=args.tol,
-        max_iterations=args.max_iter,
-        shift=args.shift,
-    )
+    return SolverConfig(tolerance=args.tol, max_iterations=args.max_iter)
 
 
 def _emit(args, text: str) -> None:
@@ -238,10 +233,12 @@ def cmd_verify(args) -> int:
         instances = _builtin_instances()
         source = "builtin"
     rows: list[tuple] = []
+    failures = []
     for name, H in instances:
-        rows.extend(_instance_checks(name, H, cfg))
-    failures = [(name, H) for name, H in instances
-                if any(row[0] == name and row[2] is False for row in rows)]
+        checks = _instance_checks(name, H, cfg)
+        rows.extend(checks)
+        if any(ok is False for _, _, ok, _ in checks):
+            failures.append((name, H))
     if args.json:
         payload = {
             "command": "verify",
@@ -284,8 +281,6 @@ def _add_common(parser: argparse.ArgumentParser, with_input: bool = True):
                         help="bracket-gap convergence tolerance")
     parser.add_argument("--max-iter", dest="max_iter", type=int,
                         default=DEFAULT_MAX_ITERATIONS, help="iteration cap")
-    parser.add_argument("--shift", type=float, default=DEFAULT_SHIFT,
-                        help="diagonal shift added to the operator (default 1)")
     fmt = parser.add_mutually_exclusive_group()
     fmt.add_argument("--json", action="store_true", help="emit a JSON report")
     parser.add_argument("--out", metavar="PATH", help="write output to a file")

@@ -10,11 +10,8 @@ dominate the update of every high-degree vertex, so, as in Noda's iteration,
 it moves into a denominator, ``x^[r-1] <- (y - d x^[r-1]) / (lam - d)``
 with lam the upper side.  The step costs no extra apply; since
 ``y <= lam x^[r-1]``, the new iterate is entrywise at most the old one, the
-upper side never rises, and every denominator is at least the shift.  A
-positive shift, 1 by default, guarantees that the plain step converges for
-weakly irreducible operators, i.e. for connected hypergraphs, from any
-positive start, and is the only damping of the signless Laplacian step
-(without it, a star K_{1,3} takes 205 iterations instead of 2).
+upper side never rises, and every denominator is at least the shift, the
+constant ``SHIFT`` = 1.
 
 A disconnected hypergraph is iterated once, over all of its components with
 edges at once.  Its adjacency and signless Laplacian operators are block
@@ -67,7 +64,12 @@ from .tensors import (
 
 DEFAULT_TOLERANCE = 1e-10
 DEFAULT_MAX_ITERATIONS = 100_000
-DEFAULT_SHIFT = 1.0
+#: The shift added to the diagonal of every operator kind.  Being positive,
+#: it makes the plain step converge on every weakly irreducible operator
+#: (every connected hypergraph) from any positive start, and it is the only
+#: damping of the signless Laplacian step: without it, a star K_{1,3} takes
+#: 205 iterations instead of 2.
+SHIFT = 1.0
 #: Iterations between two stall checks of the power iteration's bracket.
 STALL_WINDOW = 100
 #: Relative residual at which the conjugate gradient inner solve stops.
@@ -78,16 +80,10 @@ _KIND_ALIASES = {"q": SIGNLESS_LAPLACIAN, "a": ADJACENCY}
 
 @dataclass
 class SolverConfig:
-    """Power-iteration settings.
-
-    ``shift`` is added to the diagonal of every operator kind; the default
-    of 1 makes the power step converge on every weakly irreducible operator
-    and damps the signless Laplacian step (see the module docstring).
-    """
+    """Power-iteration settings."""
 
     tolerance: float = DEFAULT_TOLERANCE
     max_iterations: int = DEFAULT_MAX_ITERATIONS
-    shift: float = DEFAULT_SHIFT
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.tolerance):
@@ -96,16 +92,11 @@ class SolverConfig:
             raise ValueError(f"tolerance must be positive, got {self.tolerance}")
         if self.max_iterations < 1:
             raise ValueError(f"max_iterations must be at least 1, got {self.max_iterations}")
-        if self.shift < 0:
-            raise ValueError(f"shift must be nonnegative, got {self.shift}")
-        if not math.isfinite(self.shift):
-            raise ValueError(f"shift must be finite, got {self.shift}")
 
     def to_json(self) -> dict:
         return {
             "tolerance": self.tolerance,
             "max_iterations": self.max_iterations,
-            "shift": self.shift,
         }
 
 
@@ -258,8 +249,8 @@ def _newton_noda_step(T: TensorOperator, segs: _Segments, x: np.ndarray, lam: np
     return step
 
 
-def _iterate(T: TensorOperator, segs: _Segments, start: np.ndarray, shift: float,
-             tolerance: float, max_iterations: int):
+def _iterate(T: TensorOperator, segs: _Segments, start: np.ndarray, tolerance: float,
+             max_iterations: int):
     r = T.order
     power = r - 1
     x = np.array(start, dtype=float)
@@ -276,11 +267,11 @@ def _iterate(T: TensorOperator, segs: _Segments, start: np.ndarray, shift: float
     finite = None  # the last finite bracket
     for it in range(1, max_iterations + 1):
         xp = x ** power
-        y = T.apply(x) + shift * xp
-        # zero iterate entries only arise for a reducible dense operator
-        # with a zero shift, or by underflow; the run stops at the first
-        # nan/inf bracket and ends unconverged with the last finite one,
-        # paired with the iterate it stepped to, as at the iteration cap
+        y = T.apply(x) + SHIFT * xp
+        # a nan or infinite ratio arises only from underflow (a zero entry
+        # of the iterate) or overflow; the run stops at the first nan/inf
+        # bracket and ends unconverged with the last finite one, paired
+        # with the iterate it stepped to, as at the iteration cap
         with np.errstate(divide="ignore", invalid="ignore"):
             ratios = y / xp
             lo, hi = segs.brackets(ratios)
@@ -303,7 +294,7 @@ def _iterate(T: TensorOperator, segs: _Segments, start: np.ndarray, shift: float
                 # no longer moves the bracket, and its stale bracket still
                 # holds; near convergence its M block is nearly singular
                 frozen = segs.spread(hi < lam_lo)
-                step = _newton_noda_step(T, segs, x, segs.spread(hi) - shift, xp, frozen)
+                step = _newton_noda_step(T, segs, x, segs.spread(hi) - SHIFT, xp, frozen)
             newton_gap = gap
             if step is not None:
                 x = step
@@ -332,9 +323,9 @@ def power_iterate(T: TensorOperator, cfg: SolverConfig | None = None) -> EigenPa
     non-convergence the returned pair carries ``converged=False`` together
     with the last bracket, which encloses the spectral radius up to
     rounding (the bracket carries no rounding margin yet); a run whose
-    bracket turns nan or infinite (a zero entry of the iterate, as for a
-    reducible dense operator with shift 0) stops there and returns the last
-    finite bracket.
+    bracket turns nan or infinite (an entry of the iterate or of its apply
+    that underflows or overflows) stops there and returns the last finite
+    bracket.
 
     An adjacency or signless Laplacian operator is iterated once over all
     components of its hypergraph that have edges, each a segment with its
@@ -354,10 +345,10 @@ def power_iterate(T: TensorOperator, cfg: SolverConfig | None = None) -> EigenPa
                          lower=0.0, upper=0.0, converged=True)
     S, vertices, segs = _split(T)
     x, lo_segs, hi_segs, iterations, converged = _iterate(
-        S, segs, np.ones(S.dim), cfg.shift, cfg.tolerance, cfg.max_iterations
+        S, segs, np.ones(S.dim), cfg.tolerance, cfg.max_iterations
     )
     lo, hi = lo_segs.max(), hi_segs.max()
-    value = float(0.5 * (lo + hi) - cfg.shift)
+    value = float(0.5 * (lo + hi) - SHIFT)
     mine = segs.seg == np.argmax(lo_segs)
     vector = np.zeros(T.dim)
     vector[vertices[mine]] = x[mine]
@@ -366,8 +357,8 @@ def power_iterate(T: TensorOperator, cfg: SolverConfig | None = None) -> EigenPa
         vector=vector,
         residual=eigen_residual(T, value, vector),
         iterations=iterations,
-        lower=float(lo - cfg.shift),
-        upper=float(hi - cfg.shift),
+        lower=float(lo - SHIFT),
+        upper=float(hi - SHIFT),
         converged=converged,
     )
 
@@ -397,12 +388,3 @@ def spectral_radius(H: UniformHypergraph, kind: str = ADJACENCY,
     """
     return power_iterate(TensorOperator.for_hypergraph(H, _resolve_kind(kind)), cfg)
 
-
-def perron_vector_check(H: UniformHypergraph, pair: EigenPair, kind: str = ADJACENCY,
-                        tolerance: float = DEFAULT_TOLERANCE) -> bool:
-    """For connected H: strict positivity plus residual within 10x tolerance."""
-    vector = np.asarray(pair.vector, dtype=float)
-    if not np.all(vector > 0):
-        return False
-    T = TensorOperator.for_hypergraph(H, _resolve_kind(kind))
-    return eigen_residual(T, pair.value, vector) <= 10.0 * tolerance

@@ -31,11 +31,11 @@ class DenseTensor:
     """Order-r cubical tensor with every entry stored.
 
     Entry count is dim**order, so construction is guarded by dimension and
-    order caps; pass ``dim_cap`` to override the default for a single
-    construction (the caller owns the memory estimate in that case).
+    order caps; pass ``dim_cap`` to override the default dimension cap for a
+    single construction (the caller owns the memory estimate in that case).
     """
 
-    def __init__(self, entries, dim_cap: int | None = None, order_cap: int = DENSE_ORDER_CAP):
+    def __init__(self, entries, dim_cap: int | None = None):
         arr = np.array(entries, dtype=float)
         if arr.ndim < 2:
             raise ValueError(f"tensor order must be at least 2, got {arr.ndim}")
@@ -44,8 +44,8 @@ class DenseTensor:
         cap = DENSE_DIM_CAP if dim_cap is None else dim_cap
         if arr.shape[0] > cap:
             raise CapacityError(f"dense dimension {arr.shape[0]} exceeds cap {cap}")
-        if arr.ndim > order_cap:
-            raise CapacityError(f"dense order {arr.ndim} exceeds cap {order_cap}")
+        if arr.ndim > DENSE_ORDER_CAP:
+            raise CapacityError(f"dense order {arr.ndim} exceeds cap {DENSE_ORDER_CAP}")
         arr.setflags(write=False)
         self.entries = arr
 
@@ -114,11 +114,6 @@ def direct_product(A: DenseTensor, B: DenseTensor, dim_cap: int | None = None) -
     return DenseTensor(outer.transpose(axes).reshape((n * m,) * r), dim_cap=cap)
 
 
-def kron_vector(u, v) -> np.ndarray:
-    """Vector Kronecker product in the same lexicographic layout."""
-    return np.kron(np.asarray(u, dtype=float), np.asarray(v, dtype=float))
-
-
 class TensorOperator:
     """Apply-only view ``x -> Tx`` of a hypergraph tensor or a dense tensor.
 
@@ -174,13 +169,8 @@ class TensorOperator:
     def nonnegative(self) -> bool:
         """Entrywise nonnegativity (required by the spectral solver)."""
         if self.kind == DENSE:
-            return bool(self.entries_min() >= 0.0)
+            return bool(self.tensor.entries.min() >= 0.0)
         return True
-
-    def entries_min(self) -> float:
-        if self.kind != DENSE:
-            raise ValueError("entries_min is only defined for dense operators")
-        return float(self.tensor.entries.min())
 
     def _edge_sum(self, contrib: np.ndarray) -> np.ndarray:
         # bincount over the slot-major layout adds each vertex's terms slot
@@ -302,11 +292,6 @@ class TensorOperator:
             return out
 
         return product
-
-
-def adjacency_apply(H: UniformHypergraph, x) -> np.ndarray:
-    """One-off adjacency apply; equals the degree vector for all-ones x."""
-    return TensorOperator.adjacency(H).apply(x)
 
 
 def rayleigh(T: TensorOperator, x) -> float:

@@ -17,6 +17,7 @@ from hyperspec import (
     FormatError,
     TensorOperator,
     UniformHypergraph,
+    eigen_residual,
     power_iterate,
     random_hypergraph,
 )
@@ -260,6 +261,15 @@ def solve_components(H, kind, cfg):
     vector = np.zeros(H.n)
     vector[list(vertices)] = best.vector
     return best.value, lower, upper, iterations, converged, vector
+
+
+def perron_vector_check(H, pair, kind="adjacency", tolerance=1e-10):
+    """For connected H: strict positivity plus residual within 10x tolerance."""
+    vector = np.asarray(pair.vector, dtype=float)
+    if not np.all(vector > 0):
+        return False
+    T = TensorOperator.for_hypergraph(H, kind)
+    return eigen_residual(T, pair.value, vector) <= 10.0 * tolerance
 
 
 def parse_rows(raw_edges, n, r):

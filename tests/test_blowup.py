@@ -147,9 +147,9 @@ def test_entrywise_check_rejects_mutated_tilde_without_trials(H, mutate):
     for trials in (0, 1):
         assert check_product_identity(H, trials=trials, tilde=tilde).ok
         assert not check_product_identity(H, trials=trials, tilde=mutate(tilde)).ok
-        product, apply_ok, _ = blowup_mod._identity_trials(H, tilde, trials, 0, 1e-10)
+        product, apply_ok = blowup_mod._identity_trials(H, tilde, trials, 0, 1e-10)
         assert product.ok and apply_ok
-        product, apply_ok, _ = blowup_mod._identity_trials(H, mutate(tilde), trials, 0, 1e-10)
+        product, apply_ok = blowup_mod._identity_trials(H, mutate(tilde), trials, 0, 1e-10)
         assert not product.ok
         assert not apply_ok
 
@@ -176,12 +176,11 @@ def test_identity_trials_reject_mutated_tilde_in_both_checks():
     for H in (loose_path(3, 2), single_edge(5)):
         tilde = blowup(H).tilde
         mutated = UniformHypergraph(tilde.n, tilde.r, tilde.edges[1:])
-        product, apply_ok, apply_error = blowup_mod._identity_trials(H, mutated, 10, 0, 1e-10)
+        product, apply_ok = blowup_mod._identity_trials(H, mutated, 10, 0, 1e-10)
         assert not product.ok
         assert product.witness is not None
         assert product.witness.shape == (tilde.n,)
         assert not apply_ok
-        assert apply_error > 1e-10
 
 
 def _count_calls(calls, name, fn):

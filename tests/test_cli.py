@@ -33,13 +33,16 @@ def test_spectrum_loose_path_value(capsys):
 
 
 def test_config_reports_the_shift_and_no_seed(capsys):
+    # the shift is the solver's constant 1, so config reports neither it nor
+    # a seed, and neither flag is taken
     code, out, _ = run(capsys, ["spectrum", "--gen", "single_edge:3", "--json"])
     assert code == 0
     config = json.loads(out)["config"]
-    assert config == {"tolerance": 1e-10, "max_iterations": 100000, "shift": 1.0}
-    with pytest.raises(SystemExit) as exc:
-        main(["spectrum", "--gen", "single_edge:3", "--seed", "1"])
-    assert exc.value.code == 2
+    assert config == {"tolerance": 1e-10, "max_iterations": 100000}
+    for flag in ("--shift", "--seed"):
+        with pytest.raises(SystemExit) as exc:
+            main(["spectrum", "--gen", "single_edge:3", flag, "1"])
+        assert exc.value.code == 2
 
 
 def test_spectrum_q_kind(capsys):
@@ -230,6 +233,42 @@ def test_verify_fault_injection(tmp_path, capsys, monkeypatch):
     assert code == 4
     assert "FAIL" in out
     assert "failing instance" in err
+
+
+class _CountedName(str):
+    """An instance name that counts the comparisons made with it."""
+
+    compared = 0
+
+    def __eq__(self, other):
+        _CountedName.compared += 1
+        return str.__eq__(self, other)
+
+    __hash__ = str.__hash__
+
+
+def test_verify_failure_bookkeeping_is_linear(capsys, monkeypatch):
+    # each instance's failure is recorded while its rows are built, so no
+    # row is compared with every instance; a skip row is not a failure
+    import hyperspec.cli as cli_mod
+
+    H = loose_path(3, 2)
+    names = [_CountedName(f"i{k}") for k in range(300)]
+    failing = {names[7], names[150]}
+
+    def checks(name, H, cfg):
+        return [(name, "bounds", name not in failing, ""), (name, "blowup", None, "skipped"),
+                (name, "dominance", True, ""), (name, "odd-coloring", True, "")]
+
+    monkeypatch.setattr(cli_mod, "_builtin_instances", lambda: [(n, H) for n in names])
+    monkeypatch.setattr(cli_mod, "_instance_checks", checks)
+    _CountedName.compared = 0
+    code, out, err = run(capsys, ["verify", "--json"])
+    assert _CountedName.compared <= len(names)
+    assert code == 4
+    assert json.loads(out)["failures"] == 2
+    assert [line for line in err.splitlines() if line.startswith("failing")] == [
+        "failing instance i7:", "failing instance i150:"]
 
 
 def test_round_trip_through_cli_output(tmp_path, capsys):

@@ -19,7 +19,6 @@ from hyperspec import (
     complete,
     distinct_index_tensor,
     loose_path,
-    perron_vector_check,
     power_iterate,
     q_degree_bound,
     random_hypergraph,
@@ -64,7 +63,7 @@ def test_long_loose_path_converges_quickly(r, length, kind):
     if kind == "adjacency":
         assert pair.lower <= rho_loose_path(r, length) <= pair.upper
     else:
-        assert perron_vector_check(H, pair, kind)
+        assert oracles.perron_vector_check(H, pair, "signless-laplacian")
         assert pair.value >= q_degree_bound(H)
 
 
@@ -217,7 +216,7 @@ def _pad_with_isolated(H, where):
 
 
 @pytest.mark.parametrize("where", ["after", "before", "between"])
-@pytest.mark.parametrize("shift", [1.0, 0.5])
+@pytest.mark.parametrize("shift", [solver.SHIFT])  # the case ids name the one shift
 @pytest.mark.parametrize("kind", ["adjacency", "q"])
 @pytest.mark.parametrize(
     "H",
@@ -229,9 +228,8 @@ def test_isolated_vertices_change_no_output_bit(H, kind, shift, where):
     # a connected input and the same input beside isolated vertices take
     # one arithmetic path
     assert H.is_connected()
-    cfg = SolverConfig(shift=shift)
     padded, new_id = _pad_with_isolated(H, where)
-    pair, got = spectral_radius(H, kind, cfg), spectral_radius(padded, kind, cfg)
+    pair, got = spectral_radius(H, kind), spectral_radius(padded, kind)
     fields = ("value", "lower", "upper", "residual", "iterations", "converged")
     assert [getattr(got, f) for f in fields] == [getattr(pair, f) for f in fields]
     assert np.array_equal(got.vector[new_id], pair.vector)
@@ -241,13 +239,13 @@ def test_isolated_vertices_change_no_output_bit(H, kind, shift, where):
 def test_perron_vector_check():
     H = complete(5, 3)
     pair = spectral_radius(H, "adjacency")
-    assert perron_vector_check(H, pair)
+    assert oracles.perron_vector_check(H, pair)
     spread = pair.vector.max() - pair.vector.min()
     assert spread < 1e-9  # regular symmetry: uniform vector
 
     lp = loose_path(3, 2)
     lp_pair = spectral_radius(lp, "adjacency")
-    assert perron_vector_check(lp, lp_pair)
+    assert oracles.perron_vector_check(lp, lp_pair)
     v = lp_pair.vector
     assert v[2] > v[0]
     np.testing.assert_allclose([v[0], v[1], v[3], v[4]], v[0], rtol=1e-9)
@@ -267,7 +265,7 @@ def test_perron_vector_check_rejects_zero_entry():
         upper=pair.upper,
         converged=True,
     )
-    assert not perron_vector_check(H, fake)
+    assert not oracles.perron_vector_check(H, fake)
 
 
 def test_rayleigh_never_exceeds_radius():
@@ -338,26 +336,36 @@ def test_reducible_q_converges_without_warnings():
     T = TensorOperator.signless_laplacian(UniformHypergraph(4, 3, [(0, 1, 2)]))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        pairs = [power_iterate(T, SolverConfig(shift=shift)) for shift in (1.0, 0)]
-    for pair in pairs:
-        assert pair.converged
-        assert math.isfinite(pair.lower) and math.isfinite(pair.upper)
-        assert pair.lower <= 2.0 <= pair.upper
-        assert np.array_equal(pair.vector > 0, [True, True, True, False])
+        pair = power_iterate(T)
+    assert pair.converged
+    assert math.isfinite(pair.lower) and math.isfinite(pair.upper)
+    assert pair.lower <= 2.0 <= pair.upper
+    assert np.array_equal(pair.vector > 0, [True, True, True, False])
 
 
 def test_degree_diagonal_stops_at_the_last_finite_bracket():
-    # the degrees of a single edge beside an isolated vertex, unshifted: the
-    # isolated vertex's entry is 0 after one step, so its ratio is 0/0 from
-    # the second; the run ends there with the first step's bracket
+    # the degrees of a single edge beside an isolated vertex, with an apply
+    # that overflows from its third call on: the ratios turn infinite there,
+    # and the run ends with the second step's bracket
     T = _diagonal_operator([1, 1, 1, 0])
+    apply = T.apply
+    calls = []
+
+    def overflowing(x):
+        calls.append(1)
+        y = apply(x)
+        if len(calls) >= 3:
+            y[0] = np.inf
+        return y
+
+    T.apply = overflowing
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        pair = power_iterate(T, SolverConfig(shift=0.0))
+        pair = power_iterate(T)
     assert not pair.converged
     assert math.isfinite(pair.lower) and math.isfinite(pair.upper)
     assert pair.lower <= 1.0 <= pair.upper
-    assert pair.iterations <= 2
+    assert pair.iterations <= 3
 
 
 def _path_beside_small_components(length):
@@ -404,16 +412,15 @@ def _connected_graphs(draw):
 @given(
     _connected_graphs(),
     st.sampled_from([TensorOperator.adjacency, TensorOperator.signless_laplacian]),
-    st.sampled_from([1.0, 0.5, 0.0]),
 )
-def test_power_steps_never_raise_the_upper_side(H, make_operator, shift):
+def test_power_steps_never_raise_the_upper_side(H, make_operator):
     # the solver is deterministic, so the run capped at k iterations repeats
     # the first k steps of every longer run; below STALL_WINDOW no
     # Newton-Noda step is taken (those can raise the upper side)
     caps = range(1, 40)
     assert max(caps) < solver.STALL_WINDOW
     T = make_operator(H)
-    uppers = [power_iterate(T, SolverConfig(shift=shift, max_iterations=k)).upper for k in caps]
+    uppers = [power_iterate(T, SolverConfig(max_iterations=k)).upper for k in caps]
     for before, after in zip(uppers, uppers[1:]):
         assert after <= before + 4 * np.spacing(before)
 
@@ -429,22 +436,25 @@ STAR_1_3 = UniformHypergraph(4, 2, [(0, 1), (0, 2), (0, 3)])
 K_2_3 = UniformHypergraph(5, 2, [(i, j) for i in (0, 1) for j in (2, 3, 4)])
 
 
-@pytest.mark.parametrize(
-    "H,rho,shift",
-    [(STAR_1_3, 4.0, 1.0), (K_2_3, 5.0, 1.0), (STAR_1_3, 4.0, 0.0)],
-    ids=["star", "K23", "star-unshifted"],
-)
-def test_q_on_bipartite_graphs(H, rho, shift):
-    # bipartite graphs are where an undamped step oscillates; the default
-    # shift of 1 damps the signless Laplacian step
-    pair = spectral_radius(H, "q", SolverConfig(shift=shift))
+@pytest.mark.parametrize("H,rho", [(STAR_1_3, 4.0), (K_2_3, 5.0)], ids=["star", "K23"])
+def test_q_on_bipartite_graphs(H, rho):
+    # bipartite graphs are where an undamped step oscillates; the shift of
+    # 1 damps the signless Laplacian step
+    pair = spectral_radius(H, "q")
     assert pair.converged
     assert pair.lower <= rho <= pair.upper
 
 
 def test_shift_override():
-    cfg = SolverConfig(shift=0.5)
-    pair = spectral_radius(complete(4, 3), "adjacency", cfg)
+    # the shift is the constant float 1.0; neither the config nor the
+    # command line can override it
+    assert type(solver.SHIFT) is float and solver.SHIFT == 1.0
+    with pytest.raises(TypeError):
+        SolverConfig(shift=0.5)
+    with pytest.raises(SystemExit) as exc:
+        main(["spectrum", "--gen", "complete:4,3", "--shift", "0.5"])
+    assert exc.value.code == 2
+    pair = spectral_radius(complete(4, 3), "adjacency")
     assert abs(pair.value - 3.0) < 1e-9
 
 
@@ -453,8 +463,6 @@ def test_config_validation():
         SolverConfig(tolerance=0.0)
     with pytest.raises(ValueError):
         SolverConfig(max_iterations=0)
-    with pytest.raises(ValueError):
-        SolverConfig(shift=-1.0)
 
 
 def test_eigenpair_json_fields():

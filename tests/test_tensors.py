@@ -13,14 +13,12 @@ from hyperspec import (
     DenseTensor,
     TensorOperator,
     UniformHypergraph,
-    adjacency_apply,
     blowup,
     complete,
     dense_tensor_of,
     direct_product,
     distinct_index_tensor,
     eigen_residual,
-    kron_vector,
     loose_path,
     random_hypergraph,
     rayleigh,
@@ -32,11 +30,12 @@ from hyperspec import (
 
 
 def test_adjacency_apply_examples():
-    np.testing.assert_allclose(adjacency_apply(single_edge(3), [1, 1, 1]), [1, 1, 1])
+    edge = TensorOperator.adjacency(single_edge(3))
+    np.testing.assert_allclose(edge.apply([1, 1, 1]), [1, 1, 1])
     np.testing.assert_allclose(
-        adjacency_apply(loose_path(3, 2), np.ones(5)), [1, 1, 2, 1, 1]
+        TensorOperator.adjacency(loose_path(3, 2)).apply(np.ones(5)), [1, 1, 2, 1, 1]
     )
-    np.testing.assert_allclose(adjacency_apply(single_edge(3), [1, 2, 3]), [6, 3, 2])
+    np.testing.assert_allclose(edge.apply([1, 2, 3]), [6, 3, 2])
 
 
 def test_adjacency_apply_matches_dense():
@@ -46,19 +45,19 @@ def test_adjacency_apply_matches_dense():
         arr = oracles.dense_adjacency(H)
         x = rng.standard_normal(7)
         np.testing.assert_allclose(
-            adjacency_apply(H, x), oracles.dense_apply(arr, x), atol=1e-12
+            TensorOperator.adjacency(H).apply(x), oracles.dense_apply(arr, x), atol=1e-12
         )
 
 
 def test_all_ones_apply_is_degree_vector():
     for seed in range(5):
         H = random_hypergraph(9, 4, 10, seed)
-        np.testing.assert_allclose(adjacency_apply(H, np.ones(9)), H.degrees())
+        np.testing.assert_allclose(TensorOperator.adjacency(H).apply(np.ones(9)), H.degrees())
 
 
 def test_apply_dimension_mismatch():
     with pytest.raises(ValueError):
-        adjacency_apply(single_edge(3), [1.0, 2.0])
+        TensorOperator.adjacency(single_edge(3)).apply([1.0, 2.0])
 
 
 # operator kinds
@@ -68,7 +67,8 @@ def test_operator_kind_examples():
     q = TensorOperator.signless_laplacian(single_edge(3))
     np.testing.assert_allclose(q.apply(np.ones(3)), [2, 2, 2])
     H, ones = loose_path(3, 2), np.ones(5)
-    degree_term = TensorOperator.signless_laplacian(H).apply(ones) - adjacency_apply(H, ones)
+    degree_term = (TensorOperator.signless_laplacian(H).apply(ones)
+                   - TensorOperator.adjacency(H).apply(ones))
     np.testing.assert_allclose(degree_term, [1, 1, 2, 1, 1])
 
 
@@ -251,9 +251,20 @@ def test_product_composition_on_vectors():
     B = DenseTensor(rng.random((2, 2, 2)))
     u = rng.standard_normal(3)
     v = rng.standard_normal(2)
-    lhs = direct_product(A, B).apply(kron_vector(u, v))
-    rhs = kron_vector(A.apply(u), B.apply(v))
+    lhs = direct_product(A, B).apply(np.kron(u, v))
+    rhs = np.kron(A.apply(u), B.apply(v))
     np.testing.assert_allclose(lhs, rhs, atol=1e-12)
+
+
+def test_kron_vector_examples():
+    # the product acts on Kronecker vectors, pair (i, j) at i*dim(B) + j:
+    # the edge {0, 1} swaps a 2-vector
+    swap = DenseTensor(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    np.testing.assert_allclose(np.kron([1, 2], [3, 4]), [3, 4, 6, 8])
+    np.testing.assert_allclose(direct_product(swap, swap).apply([3, 4, 6, 8]), [8, 6, 4, 3])
+    ones = DenseTensor(np.ones((3, 3)))
+    np.testing.assert_allclose(direct_product(swap, ones).apply(np.kron([2, 5], [1, 1, 1])),
+                               [15, 15, 15, 6, 6, 6])
 
 
 def test_product_distributivity():
@@ -265,12 +276,6 @@ def test_product_distributivity():
     lhs = direct_product(DenseTensor(A1.entries + A2.entries), B).apply(x)
     rhs = direct_product(A1, B).apply(x) + direct_product(A2, B).apply(x)
     np.testing.assert_allclose(lhs, rhs, atol=1e-12)
-
-
-def test_kron_vector_examples():
-    np.testing.assert_allclose(kron_vector([1, 2], [3, 4]), [3, 4, 6, 8])
-    np.testing.assert_allclose(kron_vector([2, 5], [1, 1, 1]), [2, 2, 2, 5, 5, 5])
-    np.testing.assert_allclose(kron_vector([0.0], [1.0, 2.0]), [0.0, 0.0])
 
 
 # rayleigh and residuals
