@@ -22,7 +22,7 @@ import numpy as np
 
 from .bounds import certificate_vector, degree_power_mean_bound, optimal_weights
 from .errors import CapacityError
-from .hypergraph import UniformHypergraph
+from .hypergraph import UniformHypergraph, _unique_rows
 from .solver import EigenPair, SolverConfig, spectral_radius
 from .tensors import (
     ADJACENCY,
@@ -163,9 +163,8 @@ def _identity_trials(H, tilde, trials, seed, rtol) -> tuple[ProductIdentityCheck
     base, labels = np.divmod(tilde.edge_array, r)
     product_ok = (
         rn == r * H.n
-        and np.array_equal(
-            base[np.lexsort(base.T[::-1])], np.repeat(H.edge_array, math.factorial(r), axis=0)
-        )
+        and tilde.num_edges == math.factorial(r) * H.num_edges
+        and np.array_equal(_unique_rows(base, H.n), H.edge_array)
         and bool(np.all(np.sort(labels, axis=1) == np.arange(r)))
     )
     scaled_deg = math.factorial(r - 1) * np.repeat(H.degree_array, r)

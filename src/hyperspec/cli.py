@@ -11,6 +11,7 @@ import argparse
 import json
 import sys
 import time
+import warnings
 from pathlib import Path
 
 from .blowup import blowup, verify_blowup
@@ -44,9 +45,21 @@ def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
+def _load(path: Path, where: str = "") -> UniformHypergraph:
+    """The hypergraph in the file at ``path``.  A warning of the parse (a
+    count of dropped duplicate edges) goes to stderr as one line, after
+    ``where``."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", UserWarning)
+        H = load_hypergraph(path.read_text())
+    for warning in caught:
+        print(f"warning: {where}{warning.message}", file=sys.stderr)
+    return H
+
+
 def _resolve_input(args) -> tuple[UniformHypergraph, str]:
     if args.infile:
-        return load_hypergraph(Path(args.infile).read_text()), f"file:{args.infile}"
+        return _load(Path(args.infile)), f"file:{args.infile}"
     return generate(args.gen), f"gen:{args.gen}"
 
 
@@ -184,7 +197,7 @@ def _corpus_instances(root: str) -> list[tuple[str, UniformHypergraph]]:
     if not folder.is_dir():
         raise FormatError(f"corpus path {root!r} is not a directory")
     files = sorted(p for p in folder.iterdir() if p.is_file() and p.suffix in (".hg", ".json"))
-    return [(p.name, load_hypergraph(p.read_text())) for p in files]
+    return [(p.name, _load(p, f"{p.name}: ")) for p in files]
 
 
 def _instance_checks(name: str, H: UniformHypergraph, cfg: SolverConfig) -> list[tuple]:

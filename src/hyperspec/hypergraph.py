@@ -9,6 +9,7 @@ from __future__ import annotations
 import json
 import math
 import random
+import sys
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -70,13 +71,35 @@ def _is_canonical(edges: np.ndarray) -> bool:
     return bool(np.all(differ[k, col]) and np.all(nxt[k, col] > prev[k, col]))
 
 
-def _unique_rows(sorted_rows: np.ndarray) -> np.ndarray:
-    """Rows whose entries are already sorted, deduplicated and put in
-    lexicographic order."""
-    rows = sorted_rows[np.lexsort(sorted_rows.T[::-1])]
-    keep = np.ones(len(rows), dtype=bool)
-    keep[1:] = np.any(rows[1:] != rows[:-1], axis=1)
-    return rows[keep]
+def _unique_rows(sorted_rows: np.ndarray, n: int) -> np.ndarray:
+    """Rows whose entries are already sorted and lie in 0..n-1,
+    deduplicated and put in lexicographic order, as a new C-contiguous intp
+    array.
+
+    When n**r <= 2**63, each row is read as one int64 key, its entries the
+    digits of a base-n number, so that lexicographic order is the order of
+    the keys and equal keys are equal rows: one sort of the keys, a compare
+    of neighbours and a decode replace a lexsort of the rows.
+    """
+    m, r = sorted_rows.shape
+    if n**r > 2**63:
+        rows = sorted_rows[np.lexsort(sorted_rows.T[::-1])]
+        keep = np.ones(m, dtype=bool)
+        keep[1:] = np.any(rows[1:] != rows[:-1], axis=1)
+        return rows[keep]
+    key = sorted_rows[:, 0].astype(np.int64)
+    for j in range(1, r):
+        key *= n
+        key += sorted_rows[:, j]
+    key.sort()
+    keep = np.ones(m, dtype=bool)
+    np.not_equal(key[1:], key[:-1], out=keep[1:])
+    key = key[keep]
+    rows = np.empty((len(key), r), dtype=np.intp)
+    for j in range(r - 1, 0, -1):
+        key, rows[:, j] = np.divmod(key, n)
+    rows[:, 0] = key
+    return rows
 
 
 def _component_labels(n: int, edges: np.ndarray) -> np.ndarray:
@@ -146,8 +169,10 @@ class UniformHypergraph:
             ids = np.sort(ids, axis=1)
             if np.any(ids[:, 1:] == ids[:, :-1]):
                 raise _edge_error(edges, n, r)
-            ids = _unique_rows(ids)
-        ids = np.array(ids, dtype=np.intp, order="C")
+            ids = _unique_rows(ids, n)
+        elif ids is edges or not ids.flags.c_contiguous:
+            # the caller's own array, which it may still write to
+            ids = np.array(ids, order="C")
         ids.setflags(write=False)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "r", r)
@@ -316,6 +341,16 @@ def _from_rows(rows, n: int, r: int) -> tuple[UniformHypergraph, int]:
     return H, len(rows) - H.num_edges
 
 
+def _warn_dropped(dups: int) -> None:
+    """Warn that ``dups`` duplicate edges were dropped, attributing the
+    warning to the first caller outside this module, whichever of the
+    parsers it called."""
+    frame, level = sys._getframe(1), 2
+    while frame.f_back is not None and frame.f_globals.get("__name__") == __name__:
+        frame, level = frame.f_back, level + 1
+    warnings.warn(f"dropped {dups} duplicate edge(s)", stacklevel=level)
+
+
 def _read_ids(lines: list[str], r: int) -> np.ndarray | None:
     """The edge lines as an (m, r) intp array read in one ``np.loadtxt``
     call, or None when that read raises, warns or finds other than r
@@ -342,24 +377,31 @@ def parse_hypergraph(text: str) -> UniformHypergraph:
     Duplicate edges are dropped with a warning reporting how many were
     removed.
     """
-    rows = [line for line in map(str.strip, text.splitlines())
-            if line and not line.startswith("#")]
-    if not rows:
+    lines = text.splitlines()
+    if "#" in text:
+        lines = [line for line in map(str.strip, lines) if line and not line.startswith("#")]
+    # blank lines may remain; np.loadtxt skips them, and so does the row
+    # by row check
+    first = next((k for k, line in enumerate(lines) if line.strip()), None)
+    if first is None:
         raise FormatError("empty input: missing 'n r' header line")
-    head = rows[0].split()
+    header = lines[first].strip()
+    head = header.split()
     if len(head) != 2:
-        raise FormatError(f"header must be 'n r', got {rows[0]!r}")
+        raise FormatError(f"header must be 'n r', got {header!r}")
     try:
         n, r = int(head[0]), int(head[1])
     except ValueError:
-        raise FormatError(f"header must hold two integers, got {rows[0]!r}") from None
+        raise FormatError(f"header must hold two integers, got {header!r}") from None
     if n < 1 or r < 2:
         raise FormatError(f"header needs n >= 1 and r >= 2, got n={n} r={r}")
-    lines = rows[1:]
+    lines = lines[first + 1:]
     ids = _read_ids(lines, r) if text.isascii() else None
-    H, dups = _from_rows(list(map(str.split, lines)) if ids is None else ids, n, r)
+    if ids is None:
+        ids = [row for row in map(str.split, lines) if row]
+    H, dups = _from_rows(ids, n, r)
     if dups:
-        warnings.warn(f"dropped {dups} duplicate edge(s)", stacklevel=2)
+        _warn_dropped(dups)
     return H
 
 
@@ -392,7 +434,7 @@ def hypergraph_from_json(text: str) -> UniformHypergraph:
         raise FormatError(f"edge {json.dumps(bad)} must be an array of {r} vertex ids")
     H, dups = _from_rows(rows, n, r)
     if dups:
-        warnings.warn(f"dropped {dups} duplicate edge(s)", stacklevel=2)
+        _warn_dropped(dups)
     return H
 
 

@@ -265,9 +265,10 @@ def _iterate(T: TensorOperator, segs: _Segments, start: np.ndarray, tolerance: f
     # denominator; None keeps the plain power step
     deg = T._deg if T.kind == SIGNLESS_LAPLACIAN else None
     finite = None  # the last finite bracket
+    work = T.workspace()
     for it in range(1, max_iterations + 1):
         xp = x ** power
-        y = T.apply(x) + SHIFT * xp
+        y = T.apply(x, work=work) + SHIFT * xp
         # a nan or infinite ratio arises only from underflow (a zero entry
         # of the iterate) or overflow; the run stops at the first nan/inf
         # bracket and ends unconverged with the last finite one, paired

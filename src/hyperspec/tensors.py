@@ -133,8 +133,11 @@ class TensorOperator:
             self.order = hypergraph.r
             self.dim = hypergraph.n
             # slot-major copy of the edges: row p lists vertex p of every
-            # edge, so each slot's values are one contiguous row
-            self._slots = np.array(hypergraph.edge_array.T, order="C")
+            # edge, so each slot's values are one contiguous row.  It is a
+            # read-only view; the gather and the vertex sum read its
+            # writeable base, as np.take and np.bincount copy a read-only
+            # index array, (r, m) values, on every call
+            self._slots = np.array(hypergraph.edge_array.T, order="C").view()
             self._slots.setflags(write=False)
             self._deg = hypergraph.degree_array.astype(float)
         elif kind == DENSE:
@@ -177,7 +180,8 @@ class TensorOperator:
         # by slot, and in edge order within a slot; the order is fixed, so
         # applies are deterministic.  Without edges it returns integers,
         # hence the cast
-        sums = np.bincount(self._slots.ravel(), weights=contrib.ravel(), minlength=self.dim)
+        sums = np.bincount(self._slots.base.ravel(), weights=contrib.ravel(),
+                           minlength=self.dim)
         return sums.astype(float, copy=False)
 
     @staticmethod
@@ -200,15 +204,26 @@ class TensorOperator:
             np.multiply(hi[q + 1], gathered[q + 1], out=hi[q])
         return lo, hi
 
-    def _apply_adjacency(self, x: np.ndarray) -> np.ndarray:
+    def workspace(self) -> np.ndarray | None:
+        """Work rows for :meth:`apply`, to be passed to every call of a loop
+        so that the loop allocates them once: the gather of x and the
+        leave-one-out products, one (r, m) float array each.  None for the
+        dense kind, whose apply needs none."""
+        if self.kind == DENSE:
+            return None
+        return np.empty((2, *self._slots.shape))
+
+    def _apply_adjacency(self, x: np.ndarray, work: np.ndarray | None) -> np.ndarray:
         r = self.order
-        g = x[self._slots]
+        g, prod = np.empty((2, *self._slots.shape)) if work is None else work
+        # mode="raise" would gather through a buffer of its own; every slot
+        # holds a vertex of 0..n-1, so no index is clipped
+        x.take(self._slots.base, out=g, mode="clip")
         # The leave-one-out products, in place in one buffer: the prefix
         # products left to right, then a running suffix product multiplied
         # in right to left.  These are _prefix_suffix's multiplications in
         # its order, less the exact ones by 1.0, so each entry is lo * hi
         # bit for bit.
-        prod = np.empty_like(g)
         prod[1] = g[0]
         for p in range(2, r):
             np.multiply(prod[p - 1], g[p - 1], out=prod[p])
@@ -220,15 +235,22 @@ class TensorOperator:
         prod[0] = run
         return self._edge_sum(prod)
 
-    def apply(self, x) -> np.ndarray:
+    def apply(self, x, work: np.ndarray | None = None) -> np.ndarray:
+        """Tx, as a new array.
+
+        ``work``, from :meth:`workspace`, holds the apply's intermediate
+        rows; without it, each call allocates its own, so the operator keeps
+        no state and may be applied from two threads at once.  One ``work``
+        must not serve two applies at once.
+        """
         x = np.asarray(x, dtype=float)
         if x.shape != (self.dim,):
             raise ValueError(f"vector dimension {x.shape} does not match {self.dim}")
         if self.kind == DENSE:
             return self.tensor.apply(x)
         if self.kind == ADJACENCY:
-            return self._apply_adjacency(x)
-        return self._deg * x ** (self.order - 1) + self._apply_adjacency(x)
+            return self._apply_adjacency(x, work)
+        return self._deg * x ** (self.order - 1) + self._apply_adjacency(x, work)
 
     def jacobian(self, x) -> Callable[[np.ndarray], np.ndarray]:
         """The Jacobian of ``x -> Tx`` at x, as the product ``v -> J(x) v``.

@@ -85,6 +85,75 @@ def test_array_core_matches_tuple_oracle(case):
     assert [str(w.message) for w in caught] == expected
 
 
+def _key_limit(r):
+    """The largest n with n**r <= 2**63: up to it, a row of ids in 0..n-1
+    fits one int64 key, and above it the rows are lexsorted."""
+    n = round(2 ** (63 / r))
+    while n**r > 2**63:
+        n -= 1
+    while (n + 1) ** r <= 2**63:
+        n += 1
+    return n
+
+
+@st.composite
+def _canonical_cases(draw):
+    """(n, r, rows) for r = 2..8, with n small or on either side of the
+    key limit, ids often near n - 1, rows in any order with their vertices
+    in any order, and some rows repeated; the edge set may be empty."""
+    r = draw(st.integers(2, 8))
+    limit = _key_limit(r)
+    n = draw(st.sampled_from([r, r + 2, 30, limit, limit + 1]))
+    ids = st.one_of(st.integers(0, n - 1), st.integers(max(0, n - r - 2), n - 1))
+    rows = draw(st.lists(st.lists(ids, min_size=r, max_size=r, unique=True), max_size=12))
+    if rows:
+        rows += draw(st.lists(st.sampled_from(rows), max_size=5))
+    rows = [list(draw(st.permutations(row))) for row in draw(st.permutations(rows))]
+    return n, r, rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(_canonical_cases())
+def test_canonical_form_matches_tuple_oracle_on_both_sides_of_the_key_limit(case):
+    n, r, rows = case
+    edges = oracles.canonical_edges(n, r, rows)
+    want = np.array(edges, dtype=np.intp).reshape(len(edges), r)
+    for given_rows in (rows, np.array(rows, dtype=np.int64).reshape(len(rows), r)):
+        H = UniformHypergraph(n, r, given_rows)
+        assert H.edges == edges
+        got = H.edge_array
+        assert np.array_equal(got, want) and got.dtype == np.intp
+        assert got.flags.c_contiguous and not got.flags.writeable
+
+
+@pytest.mark.parametrize("n, lexsorts", [(2**21, 0), (2**21 + 1, 1)])
+def test_rows_sort_by_one_integer_key_while_it_fits(n, lexsorts, monkeypatch):
+    # n**3 == 2**63 at n = 2**21, where the row (n-3, n-2, n-1) has the
+    # largest int64 key, 2**63 - 1; one vertex more and the rows are lexsorted
+    calls = []
+    real = np.lexsort
+
+    def counted(keys):
+        calls.append(1)
+        return real(keys)
+
+    monkeypatch.setattr(np, "lexsort", counted)
+    rows = [(n - 1, n - 2, n - 3), (0, 1, 2), (n - 3, n - 1, n - 2), (0, n - 1, 1), (1, 0, 2)]
+    H = UniformHypergraph(n, 3, rows)
+    assert len(calls) == lexsorts
+    assert H.edges == ((0, 1, 2), (0, 1, n - 1), (n - 3, n - 2, n - 1))
+
+
+def test_a_callers_canonical_array_is_copied():
+    # the caller may still write to its own array, whatever its layout
+    for edges in (np.array([[0, 1, 2], [1, 2, 3]]), np.array([[0, 1], [1, 2], [2, 3]]).T):
+        H = UniformHypergraph(4, 3, edges)
+        assert not np.shares_memory(H.edge_array, edges)
+        assert H.edge_array.flags.c_contiguous
+        edges[0, 0] = 3
+        assert H.edges == ((0, 1, 2), (1, 2, 3))
+
+
 @st.composite
 def _rows_with_faults(draw, non_integers=()):
     """(n, r, 1-based rows) where rows may be too short or long, repeat a
@@ -178,6 +247,10 @@ _TEXT_LINES = [
     "+-1 2 3", "--1 2 3", "- 1 2 3", "+ 2 3", "1- 2 3", "1+ 2 3",
     # a '#' is a comment only as the first non-blank character of a line
     "1 2 3 # tail", "1 2 3#", "1 2 #3", "1 2 3 #", "#1 2 3", "   # 1 2 3",
+    "\t# 1 2 3", "# a # comment", "#", "  #",
+    # blank and whitespace-only lines, and line ends other than LF
+    "", "   ", "\t", " \t ", "\x1f", "\r", "1 2 3\r", "3 2 1\r", "\x0c", "1 2 3\x0c",
+    "1 2 3\r\n", "\x0c1 2 3",
     # wrong lengths
     "1", "1 2", "1 2 3 4", "1 2 3 4 5 6", "1 2 3 4 5 6 7 8 9",
     # repeated and out-of-range vertices
@@ -190,11 +263,19 @@ _TEXT_LINES = [
 ]
 
 # headers with two well-formed edge lines each; the huge n reaches the check
-# that ids fit in an intp, and n = 5000 lets a misread id pass as a vertex
+# that ids fit in an intp, and n = 5000 lets a misread id pass as a vertex.
+# Text holding a '#' drops its comment lines before the one-call read, and
+# other text goes to it with its blank lines, so every line is read both ways
 _TEXT_HEADERS = [
     ("12 3", ["1 2 3", "4 5 6"]),
     ("100000000000000000000 3", ["1 2 3", "4 5 6"]),
     ("5000 2", ["1 2", "3 4"]),
+    # blank, whitespace-only and comment lines before the header, CRLF and
+    # form feed line ends
+    ("\n  \n\t\n12 3", ["1 2 3", "", "4 5 6"]),
+    ("# a comment\n   # an indented one\n\n12 3", ["1 2 3", "  ", "4 5 6"]),
+    ("12 3\r", ["1 2 3\r", "4 5 6\r"]),
+    ("\x0c12 3 ", ["1 2 3\x0c4 5 6"]),
 ]
 
 

@@ -119,6 +119,26 @@ def test_inline_hash_is_a_field_not_a_comment(tmp_path, capsys):
     assert "edge ['1', '2', '3', '#', 'tail'] must list exactly 3 vertices" in err
 
 
+def test_inline_hash_error_holds_around_comments_blank_lines_and_crlf(tmp_path, capsys):
+    path = tmp_path / "tail.hg"
+    path.write_bytes(b"\n  # a comment # with a hash\n\t\n3 3\r\n\r\n1 2 3 # tail\r\n")
+    code, _, err = run(capsys, ["spectrum", "--in", str(path)])
+    assert code == 2
+    assert err == "error: edge ['1', '2', '3', '#', 'tail'] must list exactly 3 vertices\n"
+
+
+def test_dropped_duplicates_print_one_warning_line(tmp_path, capsys):
+    path = tmp_path / "dups.hg"
+    path.write_text("4 3\n1 2 3\n3 2 1\n2 3 4\n4 3 2\n")
+    code, out, err = run(capsys, ["bound", "--in", str(path), "--json"])
+    assert code == 0
+    assert json.loads(out)["reports"][0]["regular"] is False
+    assert err == "warning: dropped 2 duplicate edge(s)\n"
+    code, _, err = run(capsys, ["verify", str(tmp_path)])
+    assert code == 0
+    assert err == "warning: dups.hg: dropped 2 duplicate edge(s)\n"
+
+
 def test_input_file_and_bad_file(tmp_path, capsys):
     good = tmp_path / "good.hg"
     good.write_text(render_hypergraph(loose_path(3, 2)))

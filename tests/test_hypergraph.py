@@ -87,6 +87,20 @@ def test_parse_duplicate_edges_warn():
     assert H.num_edges == 2
 
 
+@pytest.mark.parametrize("parse, text", [
+    (parse_hypergraph, "5 3\n1 2 3\n3 2 1\n"),
+    (load_hypergraph, "5 3\n1 2 3\n3 2 1\n"),
+    (hypergraph_from_json, '{"n": 5, "r": 3, "edges": [[1, 2, 3], [3, 2, 1]]}'),
+    (load_hypergraph, '{"n": 5, "r": 3, "edges": [[1, 2, 3], [3, 2, 1]]}'),
+])
+def test_duplicate_edge_warning_names_the_caller(parse, text):
+    # through load_hypergraph too, the warning points at the line that
+    # called into the library, not at a line of the library
+    with pytest.warns(UserWarning, match="dropped 1 duplicate edge") as caught:
+        parse(text)
+    assert [w.filename for w in caught] == [__file__]
+
+
 def test_render_parse_round_trip():
     for H in (loose_path(3, 2), complete(5, 3), single_edge(4), random_hypergraph(8, 3, 10, 7)):
         assert parse_hypergraph(render_hypergraph(H)) == H

@@ -1,6 +1,7 @@
 """Tests for the power-iteration solver and its bracket guarantees."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -351,9 +352,9 @@ def test_degree_diagonal_stops_at_the_last_finite_bracket():
     apply = T.apply
     calls = []
 
-    def overflowing(x):
+    def overflowing(x, work=None):
         calls.append(1)
-        y = apply(x)
+        y = apply(x, work=work)
         if len(calls) >= 3:
             y[0] = np.inf
         return y
@@ -366,6 +367,28 @@ def test_degree_diagonal_stops_at_the_last_finite_bracket():
     assert math.isfinite(pair.lower) and math.isfinite(pair.upper)
     assert pair.lower <= 1.0 <= pair.upper
     assert pair.iterations <= 3
+
+
+def test_power_iterate_peak_memory_stays_near_two_gathers():
+    # the apply's gather and leave-one-out products, r m doubles each, are
+    # the largest arrays of a solve; they live in one workspace per solve,
+    # and neither the gather nor the vertex sum may copy r m values besides
+    H = random_hypergraph(2000, 3, 20000, 1)
+    H.is_connected()  # the cached component labels are built outside the trace
+    gather = H.r * H.num_edges * 8
+    for kind in ("adjacency", "signless-laplacian"):
+        T = TensorOperator.for_hypergraph(H, kind)
+        peaks = []
+        for cap in (2, 10, 100):
+            tracemalloc.start()
+            try:
+                power_iterate(T, SolverConfig(max_iterations=cap))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert max(peaks) < 2.5 * gather, (kind, peaks)
+        # nothing piles up from step to step
+        assert max(peaks) - min(peaks) < gather / 4, (kind, peaks)
 
 
 def _path_beside_small_components(length):

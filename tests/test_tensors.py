@@ -167,6 +167,48 @@ def test_jacobian_products_share_no_result_buffer(case, kind):
         np.testing.assert_allclose(got, (H.r - 1) * matrix.dot(v), rtol=1e-12, atol=1e-12)
 
 
+@st.composite
+def _workspace_cases(draw):
+    """(H, x1, x2): r = 2..6, up to 9 edges, up to three isolated vertices,
+    and two positive vectors."""
+    r = draw(st.integers(2, 6))
+    n = draw(st.integers(r, r + 3))
+    m = draw(st.integers(0, 9))
+    H = random_hypergraph(n, r, min(m, math.comb(n, r)), draw(st.integers(0, 10**6)))
+    H = UniformHypergraph(n + draw(st.integers(0, 3)), r, H.edge_array)
+    entries = st.floats(0.05, 2.0, allow_nan=False)
+    x1, x2 = (np.array(draw(st.lists(entries, min_size=H.n, max_size=H.n))) for _ in range(2))
+    return H, x1, x2
+
+
+@settings(max_examples=60, deadline=None)
+@given(_workspace_cases())
+def test_apply_through_a_workspace_matches_a_fresh_apply(case):
+    H, x1, x2 = case
+    ops = [TensorOperator.for_hypergraph(H, kind) for kind in ("adjacency", "signless-laplacian")]
+    if H.r <= 4:
+        ops.append(TensorOperator.dense(dense_tensor_of(H, "adjacency")))
+    for T in ops:
+        work = T.workspace()
+        first = T.apply(x1, work=work)
+        kept = first.copy()
+        second = T.apply(x2, work=work)
+        # the second apply leaves the first result alone, and neither
+        # result lives in the workspace
+        assert np.array_equal(first, kept)
+        assert work is None or not any(np.shares_memory(y, work) for y in (first, second))
+        for x, got in ((x1, first), (x2, second)):
+            assert np.array_equal(got, T.apply(x))
+            if T.kind != "dense":
+                # bit for bit the edge-major terms, summed per vertex slot
+                # by slot
+                terms = oracles.edge_major_terms(H, x).T.ravel()
+                want = np.bincount(H.edge_array.T.ravel(), weights=terms, minlength=H.n)
+                if T.kind == "signless-laplacian":
+                    want = H.degree_array * x ** (H.r - 1) + want
+                assert np.array_equal(got, want)
+
+
 def test_jacobian_apply_rejects_other_kinds_and_dimensions():
     H = single_edge(3)
     with pytest.raises(ValueError):
