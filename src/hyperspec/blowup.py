@@ -37,8 +37,8 @@ BLOWUP_EDGE_CAP = 5_000_000
 #: Default relative tolerance of the apply identities.
 IDENTITY_RTOL = 1e-10
 
-#: Default relative tolerance of the lifted blow-up pair: the ratio deviation
-#: and the residual over the lifted radius.
+#: Relative tolerance of the lifted blow-up pair: the ratio deviation and
+#: the residual over the lifted radius.
 SCALING_TOLERANCE = 1e-6
 
 
@@ -59,21 +59,21 @@ class BlowupHypergraph:
         return [(i, j, i * r + j) for i in range(self.base.n) for j in range(r)]
 
 
-def blowup(
-    H: UniformHypergraph,
-    max_vertices: int = BLOWUP_VERTEX_CAP,
-    max_edges: int = BLOWUP_EDGE_CAP,
-) -> BlowupHypergraph:
+def blowup(H: UniformHypergraph) -> BlowupHypergraph:
     """Construct the blow-up; every emitted edge is distinct, so the edge
-    count is exactly r! times the base edge count."""
+    count is exactly r! times the base edge count.  Raises
+    :class:`CapacityError` over ``BLOWUP_VERTEX_CAP`` vertices or
+    ``BLOWUP_EDGE_CAP`` edges."""
     r = H.r
-    if H.n * r > max_vertices:
-        raise CapacityError(f"blow-up needs {H.n * r} vertices, cap is {max_vertices}")
+    if H.n * r > BLOWUP_VERTEX_CAP:
+        raise CapacityError(f"blow-up needs {H.n * r} vertices, cap is {BLOWUP_VERTEX_CAP}")
     edge_total = math.factorial(r) * H.num_edges
-    if edge_total > max_edges:
-        raise CapacityError(f"blow-up needs {edge_total} edges, cap is {max_edges}")
-    perms = np.array(list(permutations(range(r))), dtype=np.intp)
-    edges = H.edge_array[:, None, :] * r + perms[None]
+    if edge_total > BLOWUP_EDGE_CAP:
+        raise CapacityError(f"blow-up needs {edge_total} edges, cap is {BLOWUP_EDGE_CAP}")
+    # without edges no label is handed out, and r! permutations need not be
+    # listed
+    perms = list(permutations(range(r))) if H.num_edges else []
+    edges = H.edge_array[:, None, :] * r + np.array(perms, dtype=np.intp).reshape(-1, r)
     return BlowupHypergraph(H, UniformHypergraph(H.n * r, r, edges.reshape(-1, r)))
 
 
@@ -224,9 +224,8 @@ class ScalingReport:
     0.  ``deviation`` is the largest relative difference between the
     blow-up's ratios (Tx)_i / x_i^(r-1) at that vector and (r-1)! times the
     base ratios, on the support of the base vector.  The check passes when
-    the base pair converged, ``deviation`` is within the check's tolerance
-    (``SCALING_TOLERANCE`` by default) and ``kron_residual`` within that
-    tolerance times the lifted radius.
+    the base pair converged, ``deviation`` is within ``SCALING_TOLERANCE``
+    and ``kron_residual`` within that tolerance times the lifted radius.
     """
 
     factor: float
@@ -247,7 +246,7 @@ class ScalingReport:
         }
 
 
-def _scaling_check(H, tilde_op, cfg, tolerance, base_pair=None) -> ScalingReport:
+def _scaling_check(H, tilde_op, cfg, base_pair=None) -> ScalingReport:
     """Lift the base pair of ``tilde_op``'s kind to the blow-up operator
     ``tilde_op``, checked by one apply on each side.
 
@@ -287,15 +286,12 @@ def _scaling_check(H, tilde_op, cfg, tolerance, base_pair=None) -> ScalingReport
     )
     # the residual is in units of value, so it is gated relative to it;
     # value is 0 only without edges, and the residual is then 0 too
-    ok = base_pair.converged and deviation <= tolerance and kron_residual <= tolerance * value
+    ok = (base_pair.converged and deviation <= SCALING_TOLERANCE
+          and kron_residual <= SCALING_TOLERANCE * value)
     return ScalingReport(factor, base_pair, tilde_pair, deviation, kron_residual, ok)
 
 
-def check_spectral_scaling(
-    H: UniformHypergraph,
-    cfg: SolverConfig | None = None,
-    tolerance: float = SCALING_TOLERANCE,
-) -> ScalingReport:
+def check_spectral_scaling(H: UniformHypergraph, cfg: SolverConfig | None = None) -> ScalingReport:
     """Adjacency radius of the blow-up must equal (r-1)! times the base
     radius, and (base Perron vector) x (all-ones labels) must be the
     matching eigenvector.
@@ -304,7 +300,7 @@ def check_spectral_scaling(
     apply of the blow-up at that vector checks the lift (see
     :class:`ScalingReport`).
     """
-    return _scaling_check(H, TensorOperator.adjacency(blowup(H).tilde), cfg, tolerance)
+    return _scaling_check(H, TensorOperator.adjacency(blowup(H).tilde), cfg)
 
 
 @dataclass
@@ -329,14 +325,13 @@ def check_q_identities(
     trials: int = 50,
     seed: int = 0,
     rtol: float = IDENTITY_RTOL,
-    tolerance: float = SCALING_TOLERANCE,
 ) -> QIdentityReport:
     """The blow-up signless Laplacian must equal
     (r-1)! (degree x unit) + (adjacency x all-distinct-labels),
     and its radius must be (r-1)! times the base radius."""
     tilde = blowup(H).tilde
     _, apply_ok = _identity_trials(H, tilde, trials, seed, rtol)
-    scaling = _scaling_check(H, TensorOperator.signless_laplacian(tilde), cfg, tolerance)
+    scaling = _scaling_check(H, TensorOperator.signless_laplacian(tilde), cfg)
     return QIdentityReport(apply_ok, scaling, apply_ok and scaling.ok)
 
 
@@ -391,7 +386,7 @@ def verify_blowup(
     tilde_a = TensorOperator.adjacency(bl.tilde)
     tilde_q = TensorOperator.signless_laplacian(bl.tilde)
     scaling, q_scaling = (
-        _scaling_check(H, op, cfg, SCALING_TOLERANCE, base_pairs.get(op.kind))
+        _scaling_check(H, op, cfg, base_pairs.get(op.kind))
         for op in (tilde_a, tilde_q)
     )
     q_identities = QIdentityReport(apply_ok, q_scaling, apply_ok and q_scaling.ok)

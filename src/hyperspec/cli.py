@@ -238,10 +238,6 @@ def cmd_verify(args) -> int:
         source = f"corpus:{args.corpus}"
         if not instances:
             print("warning: empty corpus, nothing verified", file=sys.stderr)
-            if args.json:
-                _emit(args, json.dumps({"command": "verify", "input": source,
-                                        "config": cfg.to_json(), "results": []}, indent=2))
-            return EXIT_OK
     else:
         instances = _builtin_instances()
         source = "builtin"
@@ -336,7 +332,8 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (CapacityError, MemoryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # a MemoryError raised by Python itself carries no message
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_CAPACITY
     except (FormatError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

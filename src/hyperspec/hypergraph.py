@@ -35,6 +35,17 @@ def _as_int(value) -> int:
     raise ValueError(f"{value!r} is not an integer")
 
 
+_INTP_MAX = int(np.iinfo(np.intp).max)
+_INTP_BITS = np.dtype(np.intp).itemsize * 8
+
+
+def _check_vertex_count(n: int, error: type[ValueError] = ValueError) -> None:
+    """Refuse a vertex count that an intp cannot hold, before anything is
+    built for it."""
+    if n > _INTP_MAX:
+        raise error(f"vertex count n={n} does not fit in a {_INTP_BITS}-bit integer")
+
+
 def _not_a_row(row) -> bool:
     """True iff ``row`` is a string or bytes, or is not a sequence, so that
     it cannot be read as one edge."""
@@ -59,18 +70,6 @@ def _id_matrix(rows, r: int) -> np.ndarray | None:
         return None
 
 
-def _is_canonical(edges: np.ndarray) -> bool:
-    """True iff every row strictly increases and the rows strictly increase
-    in lexicographic order."""
-    if not np.all(edges[:, 1:] > edges[:, :-1]):
-        return False
-    prev, nxt = edges[:-1], edges[1:]
-    differ = prev != nxt
-    col = differ.argmax(axis=1)
-    k = np.arange(len(col))
-    return bool(np.all(differ[k, col]) and np.all(nxt[k, col] > prev[k, col]))
-
-
 def _unique_rows(sorted_rows: np.ndarray, n: int) -> np.ndarray:
     """Rows whose entries are already sorted and lie in 0..n-1,
     deduplicated and put in lexicographic order, as a new C-contiguous intp
@@ -82,7 +81,9 @@ def _unique_rows(sorted_rows: np.ndarray, n: int) -> np.ndarray:
     of neighbours and a decode replace a lexsort of the rows.
     """
     m, r = sorted_rows.shape
-    if n**r > 2**63:
+    # from r = 64 on, n**r > 2**63 whenever n >= 2, and n**r need not be
+    # computed; with n = 1 there are no rows
+    if r >= 64 or n**r > 2**63:
         rows = sorted_rows[np.lexsort(sorted_rows.T[::-1])]
         keep = np.ones(m, dtype=bool)
         keep[1:] = np.any(rows[1:] != rows[:-1], axis=1)
@@ -156,6 +157,7 @@ class UniformHypergraph:
             raise ValueError(f"vertex count must be positive, got {n}")
         if r < 2:
             raise ValueError(f"uniformity must be at least 2, got {r}")
+        _check_vertex_count(n)
         if not isinstance(edges, (np.ndarray, list, tuple)):
             edges = list(edges)
         if not isinstance(edges, np.ndarray) and not set(map(type, edges)) <= {tuple, list}:
@@ -165,14 +167,10 @@ class UniformHypergraph:
         ids = _id_matrix(edges, r)
         if ids is None or (len(ids) and (ids.min() < 0 or ids.max() >= n)):
             raise _edge_error(edges, n, r)
-        if not _is_canonical(ids):
-            ids = np.sort(ids, axis=1)
-            if np.any(ids[:, 1:] == ids[:, :-1]):
-                raise _edge_error(edges, n, r)
-            ids = _unique_rows(ids, n)
-        elif ids is edges or not ids.flags.c_contiguous:
-            # the caller's own array, which it may still write to
-            ids = np.array(ids, order="C")
+        ids = np.sort(ids, axis=1)
+        if np.any(ids[:, 1:] == ids[:, :-1]):
+            raise _edge_error(edges, n, r)
+        ids = _unique_rows(ids, n)
         ids.setflags(write=False)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "r", r)
@@ -298,7 +296,7 @@ def _edge_error(rows, n: int, r: int) -> ValueError:
             return ValueError(f"edge {tuple(edge)} must contain exactly {r} distinct vertices")
         if min(ids) < 0 or max(ids) >= n:
             return ValueError(f"edge {tuple(edge)} has a vertex outside 0..{n - 1}")
-    return ValueError(f"vertex ids must fit in {np.dtype(np.intp).itemsize * 8}-bit integers")
+    return ValueError(f"vertex ids must fit in {_INTP_BITS}-bit integers")
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +320,7 @@ def _row_error(rows, n: int, r: int) -> FormatError:
             return FormatError(f"edge {ids} has a vertex outside 1..{n}")
         if len(set(ids)) != r:
             return FormatError(f"edge {ids} repeats a vertex")
-    return FormatError(f"vertex ids must fit in {np.dtype(np.intp).itemsize * 8}-bit integers")
+    return FormatError(f"vertex ids must fit in {_INTP_BITS}-bit integers")
 
 
 def _from_rows(rows, n: int, r: int) -> tuple[UniformHypergraph, int]:
@@ -395,6 +393,7 @@ def parse_hypergraph(text: str) -> UniformHypergraph:
         raise FormatError(f"header must hold two integers, got {header!r}") from None
     if n < 1 or r < 2:
         raise FormatError(f"header needs n >= 1 and r >= 2, got n={n} r={r}")
+    _check_vertex_count(n, FormatError)
     lines = lines[first + 1:]
     ids = _read_ids(lines, r) if text.isascii() else None
     if ids is None:
@@ -426,6 +425,7 @@ def hypergraph_from_json(text: str) -> UniformHypergraph:
         raise FormatError("fields 'n' and 'r' must be integers") from None
     if n < 1 or r < 2:
         raise FormatError(f"need n >= 1 and r >= 2, got n={n} r={r}")
+    _check_vertex_count(n, FormatError)
     rows = obj["edges"]
     if not isinstance(rows, list):
         raise FormatError("field 'edges' must be an array of edges")
@@ -475,6 +475,7 @@ def complete(n: int, r: int) -> UniformHypergraph:
 
 def single_edge(r: int) -> UniformHypergraph:
     """One edge on exactly r vertices."""
+    _check_vertex_count(r)
     return UniformHypergraph(r, r, (tuple(range(r)),))
 
 
@@ -484,12 +485,14 @@ def loose_path(r: int, length: int) -> UniformHypergraph:
         raise ValueError(f"loose_path({r},{length}) needs length >= 1")
     _check_edge_count(length)
     n = length * (r - 1) + 1
+    _check_vertex_count(n)
     edges = tuple(tuple(range(k * (r - 1), k * (r - 1) + r)) for k in range(length))
     return UniformHypergraph(n, r, edges)
 
 
 def random_hypergraph(n: int, r: int, m: int, seed: int) -> UniformHypergraph:
     """m distinct edges drawn uniformly without replacement."""
+    _check_vertex_count(n)
     if n < r:
         raise ValueError(f"random({n},{r},...) needs n >= r")
     total = math.comb(n, r)

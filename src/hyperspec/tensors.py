@@ -3,7 +3,7 @@
 The adjacency entry convention puts 1/(r-1)! on every index permutation of
 an edge, so the apply reduces to one leave-one-out product per (edge,
 vertex) pair and the all-ones apply reproduces the degree vector.  Dense
-storage is reserved for small dimensions (cap 12 by default).
+storage is reserved for small dimensions (``DENSE_DIM_CAP``, 12).
 """
 
 from __future__ import annotations
@@ -30,20 +30,18 @@ HYPERGRAPH_KINDS = (ADJACENCY, SIGNLESS_LAPLACIAN)
 class DenseTensor:
     """Order-r cubical tensor with every entry stored.
 
-    Entry count is dim**order, so construction is guarded by dimension and
-    order caps; pass ``dim_cap`` to override the default dimension cap for a
-    single construction (the caller owns the memory estimate in that case).
+    Entry count is dim**order, so construction is guarded by the dimension
+    and order caps ``DENSE_DIM_CAP`` and ``DENSE_ORDER_CAP``.
     """
 
-    def __init__(self, entries, dim_cap: int | None = None):
+    def __init__(self, entries):
         arr = np.array(entries, dtype=float)
         if arr.ndim < 2:
             raise ValueError(f"tensor order must be at least 2, got {arr.ndim}")
         if len(set(arr.shape)) != 1:
             raise ValueError(f"tensor must be cubical, got shape {arr.shape}")
-        cap = DENSE_DIM_CAP if dim_cap is None else dim_cap
-        if arr.shape[0] > cap:
-            raise CapacityError(f"dense dimension {arr.shape[0]} exceeds cap {cap}")
+        if arr.shape[0] > DENSE_DIM_CAP:
+            raise CapacityError(f"dense dimension {arr.shape[0]} exceeds cap {DENSE_DIM_CAP}")
         if arr.ndim > DENSE_ORDER_CAP:
             raise CapacityError(f"dense order {arr.ndim} exceeds cap {DENSE_ORDER_CAP}")
         arr.setflags(write=False)
@@ -68,17 +66,17 @@ class DenseTensor:
         return out
 
 
-def distinct_index_tensor(r: int, dim_cap: int | None = None) -> DenseTensor:
+def distinct_index_tensor(r: int) -> DenseTensor:
     """Order-r, dimension-r 0/1 tensor marking pairwise-distinct index tuples."""
     if r < 2:
         raise ValueError(f"order must be at least 2, got {r}")
     arr = np.zeros((r,) * r)
     for p in permutations(range(r)):
         arr[p] = 1.0
-    return DenseTensor(arr, dim_cap=dim_cap)
+    return DenseTensor(arr)
 
 
-def dense_tensor_of(H: UniformHypergraph, kind: str, dim_cap: int | None = None) -> DenseTensor:
+def dense_tensor_of(H: UniformHypergraph, kind: str) -> DenseTensor:
     """Materialize the adjacency or signless Laplacian tensor of H.
 
     Intended for small instances and independent cross-checks; everything
@@ -96,22 +94,21 @@ def dense_tensor_of(H: UniformHypergraph, kind: str, dim_cap: int | None = None)
         # an edge has distinct vertices, so the diagonal holds no adjacency
         for v, d in enumerate(H.degrees()):
             arr[(v,) * r] = float(d)
-    return DenseTensor(arr, dim_cap=dim_cap)
+    return DenseTensor(arr)
 
 
-def direct_product(A: DenseTensor, B: DenseTensor, dim_cap: int | None = None) -> DenseTensor:
+def direct_product(A: DenseTensor, B: DenseTensor) -> DenseTensor:
     """Kronecker-style product: entry over paired index tuples, flattened
     lexicographically (pair (i, j) maps to i*dim(B) + j)."""
     if A.order != B.order:
         raise ValueError(f"order mismatch: {A.order} vs {B.order}")
     r = A.order
     n, m = A.dim, B.dim
-    cap = DENSE_DIM_CAP if dim_cap is None else dim_cap
-    if n * m > cap:
-        raise CapacityError(f"product dimension {n * m} exceeds cap {cap}")
+    if n * m > DENSE_DIM_CAP:
+        raise CapacityError(f"product dimension {n * m} exceeds cap {DENSE_DIM_CAP}")
     outer = np.multiply.outer(A.entries, B.entries)
     axes = [k for pair in zip(range(r), range(r, 2 * r)) for k in pair]
-    return DenseTensor(outer.transpose(axes).reshape((n * m,) * r), dim_cap=cap)
+    return DenseTensor(outer.transpose(axes).reshape((n * m,) * r))
 
 
 class TensorOperator:
@@ -280,13 +277,15 @@ class TensorOperator:
         # (whose row 0 is 0, as is row r-1 of the suffix ones), then each
         # slot's term
         dlo = np.empty_like(gx)
+        gv = np.empty_like(gx)
         tmp = np.empty_like(gx[0])
 
         def product(v) -> np.ndarray:
             v = np.asarray(v, dtype=float)
             if v.shape != (self.dim,):
                 raise ValueError(f"vector dimension {v.shape} does not match {self.dim}")
-            gv = v[slots]
+            # the apply's gather, into the work rows; no index is clipped
+            v.take(slots.base, out=gv, mode="clip")
             # The recurrences d(lo)[p] = d(lo)[p-1] gx[p-1] + lo[p-1] gv[p-1]
             # and its mirror for the suffix, and the terms
             # d(lo) hi + lo d(hi), less their exact steps: products with

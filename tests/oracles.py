@@ -340,8 +340,10 @@ def parse_text(text):
         raise FormatError(f"header must hold two integers, got {rows[0]!r}") from None
     if n < 1 or r < 2:
         raise FormatError(f"header needs n >= 1 and r >= 2, got n={n} r={r}")
-    edges, dups = parse_rows([line.split() for line in rows[1:]], n, r)
     bits = np.dtype(np.intp).itemsize * 8
+    if n >= 2 ** (bits - 1):
+        raise FormatError(f"vertex count n={n} does not fit in a {bits}-bit integer")
+    edges, dups = parse_rows([line.split() for line in rows[1:]], n, r)
     # the 1-based ids must fit, so a 0-based id at most 2^(bits-1) - 2
     if any(v >= 2 ** (bits - 1) - 1 for edge in edges for v in edge):
         raise FormatError(f"vertex ids must fit in {bits}-bit integers")

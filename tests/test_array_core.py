@@ -262,13 +262,14 @@ _TEXT_LINES = [
     "99999999999999999999999999 1 2",
 ]
 
-# headers with two well-formed edge lines each; the huge n reaches the check
-# that ids fit in an intp, and n = 5000 lets a misread id pass as a vertex.
+# headers with two well-formed edge lines each; the largest n an intp holds
+# makes ids up to the intp limit vertices, and n = 5000 lets a misread id
+# pass as a vertex.
 # Text holding a '#' drops its comment lines before the one-call read, and
 # other text goes to it with its blank lines, so every line is read both ways
 _TEXT_HEADERS = [
     ("12 3", ["1 2 3", "4 5 6"]),
-    ("100000000000000000000 3", ["1 2 3", "4 5 6"]),
+    ("9223372036854775807 3", ["1 2 3", "4 5 6"]),
     ("5000 2", ["1 2", "3 4"]),
     # blank, whitespace-only and comment lines before the header, CRLF and
     # form feed line ends
@@ -353,8 +354,9 @@ def test_json_non_integers_rejected(text, message):
 
 
 def test_smallest_intp_id_is_refused_not_wrapped():
-    # shifted to 0-based, -2^63 would wrap round to 2^63 - 1, a vertex of this n
-    n, low = 10**20, -(2**63)
+    # shifted to 0-based, -2^63 would wrap round to 2^63 - 1; it is refused
+    # as below 1, before the shift, at the largest n an intp holds
+    n, low = 2**63 - 1, -(2**63)
     message = f"edge [{low}, 2, 3] has a vertex outside 1..{n}"
     with pytest.raises(FormatError, match=re.escape(message)):
         hypergraph_from_json(json.dumps({"n": n, "r": 3, "edges": [[low, 2, 3]]}))

@@ -4,6 +4,7 @@ import importlib
 import itertools
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -35,6 +36,7 @@ from hyperspec.cli import main
 
 # the package attribute ``hyperspec.blowup`` is the function, not the module
 blowup_mod = importlib.import_module("hyperspec.blowup")
+tensors_mod = importlib.import_module("hyperspec.tensors")
 
 ACCEPTANCE_TRIO = (single_edge(3), loose_path(3, 2), complete(4, 3))
 
@@ -72,11 +74,31 @@ def test_blowup_is_r_partite():
         assert labels == list(range(H.r))
 
 
-def test_blowup_capacity_guards():
-    with pytest.raises(CapacityError):
-        blowup(loose_path(3, 2), max_edges=10)
-    with pytest.raises(CapacityError):
-        blowup(loose_path(3, 2), max_vertices=10)
+def test_blowup_capacity_guards(monkeypatch):
+    # loose_path(3, 2) blows up to 15 vertices and 12 edges
+    with monkeypatch.context() as patch:
+        patch.setattr(blowup_mod, "BLOWUP_EDGE_CAP", 10)
+        with pytest.raises(CapacityError, match="12 edges, cap is 10"):
+            blowup(loose_path(3, 2))
+    with monkeypatch.context() as patch:
+        patch.setattr(blowup_mod, "BLOWUP_VERTEX_CAP", 10)
+        with pytest.raises(CapacityError, match="15 vertices, cap is 10"):
+            blowup(loose_path(3, 2))
+
+
+def test_edgeless_blowup_lists_no_permutations(no_long_permutation_lists):
+    started = time.perf_counter()
+    bl = blowup(UniformHypergraph(12, 12))
+    assert time.perf_counter() - started < 1.0
+    assert (bl.tilde.n, bl.tilde.r, bl.tilde.num_edges) == (144, 12, 0)
+
+
+def test_verify_corpus_with_an_edgeless_twelve_uniform_graph(
+    tmp_path, capsys, no_long_permutation_lists
+):
+    (tmp_path / "e.hg").write_text("12 12\n")
+    assert main(["verify", str(tmp_path)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "instances=1 failures=0"
 
 
 def test_vertex_map_round_trip(capsys):
@@ -224,15 +246,13 @@ def test_verify_blowup_builds_once_and_never_applies_kronecker(monkeypatch):
     assert calls == {"blowup": 1, "kron": 0}
 
 
-def test_kronecker_apply_matches_dense_product():
+def test_kronecker_apply_matches_dense_product(monkeypatch):
+    # the product of loose_path(3, 2) has dimension 15
+    monkeypatch.setattr(tensors_mod, "DENSE_DIM_CAP", 15)
     rng = np.random.default_rng(8)
     for H in (single_edge(3), loose_path(3, 2)):
         rn = H.n * H.r
-        product = direct_product(
-            dense_tensor_of(H, "adjacency", dim_cap=H.n),
-            distinct_index_tensor(H.r),
-            dim_cap=rn,
-        )
+        product = direct_product(dense_tensor_of(H, "adjacency"), distinct_index_tensor(H.r))
         for _ in range(5):
             w = rng.standard_normal(rn)
             np.testing.assert_allclose(
@@ -311,10 +331,11 @@ def test_spectral_scaling_complete_4_3():
     assert report.ok
 
 
-def test_spectral_scaling_residual_is_gated_relative_to_the_lifted_radius():
+def test_spectral_scaling_residual_is_gated_relative_to_the_lifted_radius(monkeypatch):
     # lambda~ = 5! * 56 = 6720: the residual reads about 1e-9 in absolute
     # terms, but only rounding, about 1.5e-13 of lambda~, like the deviation
-    report = check_spectral_scaling(complete(9, 6), tolerance=1e-11)
+    monkeypatch.setattr(blowup_mod, "SCALING_TOLERANCE", 1e-11)
+    report = check_spectral_scaling(complete(9, 6))
     assert report.kron_residual > 1e-11
     assert report.deviation <= 1e-11
     assert report.ok
@@ -365,9 +386,7 @@ def test_lifted_bracket_meets_an_independent_blowup_solve(H, kind):
     # rounding bounds how far apart they may be.  The midpoint of one
     # bracket need not lie in the other, as both are up to 1e-10 wide
     bl = blowup(H)
-    report = blowup_mod._scaling_check(
-        H, TensorOperator.for_hypergraph(bl.tilde, kind), None, blowup_mod.SCALING_TOLERANCE
-    )
+    report = blowup_mod._scaling_check(H, TensorOperator.for_hypergraph(bl.tilde, kind), None)
     lifted = report.tilde_pair
     solved = spectral_radius(bl.tilde, kind)
     assert solved.converged and lifted.converged and report.ok

@@ -5,6 +5,8 @@ import json
 from collections import Counter
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from hyperspec import UniformHypergraph, generate, loose_path, parse_hypergraph, render_hypergraph
 from hyperspec.blowup import BLOWUP_VERTEX_CAP
@@ -210,6 +212,84 @@ def test_failed_allocation_exits_as_capacity(tmp_path, capsys, name, text):
     assert err.startswith("error: ")
 
 
+HUGE = 99999999999999999999
+
+
+@pytest.mark.parametrize(
+    "name,text",
+    [("huge.hg", f"{HUGE} 3\n1 2 3\n"),
+     ("huge.json", json.dumps({"n": HUGE, "r": 3, "edges": [[1, 2, 3]]})),
+     (None, f"random:{HUGE},3,2,1"),
+     (None, f"single_edge:{HUGE}"),
+     (None, f"loose_path:{HUGE},1")],
+)
+def test_vertex_count_beyond_intp_is_an_input_error(tmp_path, capsys, name, text):
+    if name is None:
+        source = ["--gen", text]
+    else:
+        (tmp_path / name).write_text(text)
+        source = ["--in", str(tmp_path / name)]
+    for command in ("spectrum", "bound", "blowup"):
+        code, _, err = run(capsys, [command, *source])
+        assert code == 2
+        assert "vertex count n=" in err and "does not fit" in err
+
+
+# Header values and vertex ids are drawn from valid ones five times in
+# six; otherwise they are below 1, at or beyond 2**63 either way, or not
+# integers.  No vertex count lies between 10**4 and 2**63, where numpy may
+# commit gigabytes for it.
+_INVALID = (st.integers(-2, 1) | st.integers(2**63, 2**66) | st.integers(-(2**66), -(2**63))
+            | st.sampled_from([1.5, 3.0, True, False, "x", None]))
+
+
+def _mostly(valid):
+    return st.sampled_from([True] * 5 + [False]).flatmap(
+        lambda ok: valid if ok else _INVALID)
+
+
+@st.composite
+def _malformed_inputs(draw):
+    """(format, n, r, rows): a hypergraph file's contents, often invalid.
+    Only an r of 2 to 6 gets rows of about r ids, most of them rows of
+    valid ids; a larger or invalid r gets no rows, or one of the wrong
+    length."""
+    n = draw(_mostly(st.integers(1, 30) | st.integers(1, 10**4)))
+    r = draw(_mostly(st.integers(2, 12)))
+    rows = []
+    if type(r) is int and 2 <= r <= 6:
+        ids = st.integers(1, min(n, 30) if type(n) is int and n >= 1 else 30)
+        for _ in range(draw(st.integers(0, 4))):
+            length = r + draw(st.sampled_from([0] * 6 + [-1, 1]))
+            row_ids = draw(st.sampled_from([ids, ids, ids, _mostly(ids)]))
+            rows.append(draw(st.lists(row_ids, min_size=length, max_size=length)))
+    elif draw(st.booleans()):
+        rows.append(draw(st.lists(st.integers(1, 4), min_size=2, max_size=4)))
+    return draw(st.sampled_from(["text", "json"])), n, r, rows
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_malformed_inputs(), st.sampled_from(["spectrum", "bound", "blowup"]))
+@example(("text", HUGE, 3, [[1, 2, 3]]), "spectrum")
+@example(("json", HUGE, 3, [[1, 2, 3]]), "bound")
+@example(("text", 12, 12, []), "blowup")
+@example(("json", 11, 11, []), "blowup")
+def test_malformed_input_gets_a_contract_exit_code(
+    tmp_path, no_long_permutation_lists, case, command
+):
+    # ROADMAP aim 3: every input ends in one of the contract's exit codes,
+    # and no exception escapes main
+    fmt, n, r, rows = case
+    if fmt == "json":
+        text = json.dumps({"n": n, "r": r, "edges": rows})
+    else:
+        text = "\n".join(" ".join(map(str, row)) for row in [[n, r], *rows]) + "\n"
+    path = tmp_path / f"input.{'json' if fmt == 'json' else 'hg'}"
+    path.write_text(text)
+    assert main([command, "--in", str(path)]) in {0, 2, 3, 4, 5}
+
+
 def test_verify_corpus(tmp_path, capsys):
     (tmp_path / "a.hg").write_text(render_hypergraph(loose_path(3, 2)))
     (tmp_path / "b.hg").write_text("3 3\n1 2 3\n")
@@ -236,9 +316,15 @@ def test_verify_skips_only_blowups_over_the_caps(tmp_path, capsys):
 
 
 def test_verify_empty_corpus(tmp_path, capsys):
-    code, _, err = run(capsys, ["verify", str(tmp_path)])
+    code, out, err = run(capsys, ["verify", str(tmp_path)])
     assert code == 0
     assert "empty corpus" in err
+    assert out.splitlines()[-1] == "instances=0 failures=0"
+    code, out, err = run(capsys, ["verify", "--json", str(tmp_path)])
+    assert code == 0
+    assert "empty corpus" in err
+    report = json.loads(out)
+    assert (report["results"], report["failures"]) == ([], 0)
 
 
 def test_verify_fault_injection(tmp_path, capsys, monkeypatch):

@@ -49,6 +49,10 @@ def test_n_and_r_validated():
         UniformHypergraph(0, 3)
     with pytest.raises(ValueError):
         UniformHypergraph(3, 1)
+    # n must fit in an intp, or the degree count overflows later
+    with pytest.raises(ValueError, match=f"vertex count n={2**63} does not fit"):
+        UniformHypergraph(2**63, 3)
+    assert UniformHypergraph(2**63 - 1, 3).n == 2**63 - 1
 
 
 # parsing

@@ -242,7 +242,6 @@ def test_dense_tensor_of_matches_oracle():
 def test_dense_dimension_cap():
     with pytest.raises(CapacityError):
         DenseTensor(np.zeros((13, 13)))
-    DenseTensor(np.zeros((13, 13)), dim_cap=13)
 
 
 def test_dense_order_cap():
@@ -273,7 +272,7 @@ def test_direct_product_matches_blowup_adjacency():
     product = direct_product(dense_tensor_of(H, "adjacency"), distinct_index_tensor(3))
     tilde = blowup(H).tilde
     np.testing.assert_allclose(
-        product.entries, dense_tensor_of(tilde, "adjacency", dim_cap=9).entries
+        product.entries, dense_tensor_of(tilde, "adjacency").entries
     )
 
 
