@@ -268,7 +268,7 @@ def _scaling_check(H, tilde_op, cfg, base_pair=None) -> ScalingReport:
     kron_residual = float(np.max(np.abs(tilde_y - value * lifted_p)) / np.max(lifted_p))
     # on a disconnected base, x is zero off the winning component
     support = x > 0
-    base_y = TensorOperator.for_hypergraph(H, tilde_op.kind).apply(x)
+    base_y = TensorOperator(tilde_op.kind, hypergraph=H).apply(x)
     # an entry of x whose power underflows gives an infinite ratio, which
     # turns the deviation nan and fails the check
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):

@@ -92,27 +92,16 @@ class BoundReport:
     converged: bool = True
     pair: EigenPair | None = field(default=None, repr=False, compare=False)
 
-    CSV_HEADER = "kind,bound,rho,gap,regular,equality,connected,consistent"
+    #: The report's columns, in the order of its JSON object and CSV row.
+    COLUMNS = ("kind", "bound", "rho", "gap", "regular", "equality", "connected", "consistent")
 
     def to_json(self) -> dict:
-        return {
-            "kind": self.kind,
-            "bound": self.bound,
-            "rho": self.rho,
-            "gap": self.gap,
-            "regular": self.regular,
-            "equality": self.equality,
-            "connected": self.connected,
-            "consistent": self.consistent,
-        }
+        return {name: getattr(self, name) for name in self.COLUMNS}
 
     def to_csv_row(self) -> str:
-        cells = [self.kind]
-        cells.extend(f"{v:.12g}" for v in (self.bound, self.rho, self.gap))
-        cells.extend(
-            "true" if v else "false"
-            for v in (self.regular, self.equality, self.connected, self.consistent)
-        )
+        """The columns as CSV cells; numbers to 12 significant digits."""
+        cells = (v if isinstance(v, str) else ("true" if v else "false") if isinstance(v, bool)
+                 else f"{v:.12g}" for v in self.to_json().values())
         return ",".join(cells)
 
 

@@ -2,7 +2,8 @@
 
 Exit codes are a stable contract: 0 success, 2 input error, 3 solver
 non-convergence, 4 mathematical check failure, 5 capacity exceeded (a size
-cap, or an allocation that fails).
+cap, or an allocation that fails).  A check that read an unconverged solve
+decides nothing, so 3 outranks 4 in every command.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import warnings
 from pathlib import Path
 
 from .blowup import blowup, verify_blowup
-from .bounds import bounds_hold, dominance_holds, verify_bounds
+from .bounds import BoundReport, bounds_hold, dominance_holds, verify_bounds
 from .errors import CapacityError, FormatError
 from .hypergraph import (
     UniformHypergraph,
@@ -74,7 +75,7 @@ def _emit(args, text: str) -> None:
         print(text)
 
 
-def cmd_spectrum(args) -> int:
+def cmd_spectrum(args) -> tuple[bool, bool]:
     H, desc = _resolve_input(args)
     cfg = _config(args)
     kind = _KINDS[args.kind]
@@ -102,10 +103,10 @@ def cmd_spectrum(args) -> int:
             f"elapsed     {elapsed:.3f} s",
         ]
         _emit(args, "\n".join(lines))
-    return EXIT_OK if pair.converged else EXIT_NO_CONVERGENCE
+    return pair.converged, True
 
 
-def cmd_bound(args) -> int:
+def cmd_bound(args) -> tuple[bool, bool]:
     H, desc = _resolve_input(args)
     cfg = _config(args)
     reports = verify_bounds(H, cfg)
@@ -118,7 +119,7 @@ def cmd_bound(args) -> int:
         }
         _emit(args, json.dumps(payload, indent=2))
     elif args.csv:
-        rows = ["input," + reports[0].CSV_HEADER]
+        rows = ["input," + ",".join(BoundReport.COLUMNS)]
         rows.extend(f"{desc},{rep.to_csv_row()}" for rep in reports)
         _emit(args, "\n".join(rows))
     else:
@@ -130,12 +131,10 @@ def cmd_bound(args) -> int:
                 f"consistent={rep.consistent}"
             )
         _emit(args, "\n".join(lines))
-    if not all(rep.converged for rep in reports):
-        return EXIT_NO_CONVERGENCE
-    return EXIT_OK if bounds_hold(reports, cfg.tolerance) else EXIT_CHECK_FAILED
+    return all(rep.converged for rep in reports), bounds_hold(reports, cfg.tolerance)
 
 
-def cmd_blowup(args) -> int:
+def cmd_blowup(args) -> tuple[bool, bool]:
     H, desc = _resolve_input(args)
     cfg = _config(args)
     verification = verify_blowup(H, cfg) if args.verify else None
@@ -165,11 +164,14 @@ def cmd_blowup(args) -> int:
             lines.append(f"verified    {'yes' if verification.ok else 'NO'}")
             lines.append(f"rho(tilde)  {_fmt(verification.scaling.tilde_pair.value)}")
         print("\n".join(lines))
-    if verification is not None and not verification.ok:
+    if verification is None:
+        return True, True
+    if not verification.ok:
         print("blow-up verification failed:", file=sys.stderr)
         print(json.dumps(verification.to_json(), indent=2), file=sys.stderr)
-        return EXIT_CHECK_FAILED
-    return EXIT_OK
+    converged = (verification.scaling.base_pair.converged
+                 and verification.q_identities.scaling.base_pair.converged)
+    return converged, verification.ok
 
 
 def _builtin_instances() -> list[tuple[str, UniformHypergraph]]:
@@ -200,10 +202,12 @@ def _corpus_instances(root: str) -> list[tuple[str, UniformHypergraph]]:
     return [(p.name, _load(p, f"{p.name}: ")) for p in files]
 
 
-def _instance_checks(name: str, H: UniformHypergraph, cfg: SolverConfig) -> list[tuple]:
+def _instance_checks(name: str, H: UniformHypergraph, cfg: SolverConfig) -> tuple[list, bool]:
+    """The check rows of one instance, and whether its solves converged."""
     rows = []
     reports = verify_bounds(H, cfg)
-    bounds_ok = all(rep.converged for rep in reports) and bounds_hold(reports, cfg.tolerance)
+    converged = all(rep.converged for rep in reports)
+    bounds_ok = converged and bounds_hold(reports, cfg.tolerance)
     rows.append((name, "bounds", bounds_ok,
                  f"gapA={reports[0].gap:.3e} gapQ={reports[1].gap:.3e}"))
     rows.append((name, "dominance", dominance_holds(reports),
@@ -222,16 +226,11 @@ def _instance_checks(name: str, H: UniformHypergraph, cfg: SolverConfig) -> list
         rows.append((name, "odd-coloring", coloring_ok,
                      "found" if phi is not None else "none exists"))
     else:
-        try:
-            find_odd_coloring(H)
-            rejected = False
-        except ValueError:
-            rejected = True
-        rows.append((name, "odd-coloring", rejected, "odd uniformity rejected"))
-    return rows
+        rows.append((name, "odd-coloring", None, "skipped: r is odd"))
+    return rows, converged
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> tuple[bool, bool]:
     cfg = _config(args)
     if args.corpus:
         instances = _corpus_instances(args.corpus)
@@ -243,8 +242,10 @@ def cmd_verify(args) -> int:
         source = "builtin"
     rows: list[tuple] = []
     failures = []
+    converged = True
     for name, H in instances:
-        checks = _instance_checks(name, H, cfg)
+        checks, solved = _instance_checks(name, H, cfg)
+        converged = converged and solved
         rows.extend(checks)
         if any(ok is False for _, _, ok, _ in checks):
             failures.append((name, H))
@@ -269,12 +270,10 @@ def cmd_verify(args) -> int:
             lines.append(f"{name:<18} {check:<14} {status:<7} {detail}")
         lines.append(f"instances={len(instances)} failures={len(failures)}")
         _emit(args, "\n".join(lines))
-    if failures:
-        for name, H in failures:
-            print(f"failing instance {name}:", file=sys.stderr)
-            print(render_hypergraph(H), file=sys.stderr, end="")
-        return EXIT_CHECK_FAILED
-    return EXIT_OK
+    for name, H in failures:
+        print(f"failing instance {name}:", file=sys.stderr)
+        print(render_hypergraph(H), file=sys.stderr, end="")
+    return converged, not failures
 
 
 def _add_common(parser: argparse.ArgumentParser, with_input: bool = True):
@@ -328,9 +327,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command.  Each ``cmd_*`` returns (every solve converged,
+    every check passed), which maps to 3 if a solve did not, else 0 or 4."""
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        converged, ok = args.func(args)
     except (CapacityError, MemoryError) as exc:
         # a MemoryError raised by Python itself carries no message
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
@@ -338,6 +339,9 @@ def main(argv=None) -> int:
     except (FormatError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    if not converged:
+        return EXIT_NO_CONVERGENCE
+    return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
 if __name__ == "__main__":

@@ -37,13 +37,17 @@ def _as_int(value) -> int:
 
 _INTP_MAX = int(np.iinfo(np.intp).max)
 _INTP_BITS = np.dtype(np.intp).itemsize * 8
+#: The largest r for which numpy can shape an (m, r) intp edge array.
+_R_MAX = _INTP_MAX // np.dtype(np.intp).itemsize
 
 
-def _check_vertex_count(n: int, error: type[ValueError] = ValueError) -> None:
-    """Refuse a vertex count that an intp cannot hold, before anything is
-    built for it."""
+def _check_sizes(n: int, r: int, error: type[ValueError] = ValueError) -> None:
+    """Refuse a vertex count that an intp cannot hold, or a uniformity whose
+    edge rows numpy cannot shape, before anything is built for them."""
     if n > _INTP_MAX:
         raise error(f"vertex count n={n} does not fit in a {_INTP_BITS}-bit integer")
+    if r > _R_MAX:
+        raise error(f"uniformity r={r} exceeds {_R_MAX}, the most an edge array can hold")
 
 
 def _not_a_row(row) -> bool:
@@ -81,6 +85,9 @@ def _unique_rows(sorted_rows: np.ndarray, n: int) -> np.ndarray:
     of neighbours and a decode replace a lexsort of the rows.
     """
     m, r = sorted_rows.shape
+    if m <= 1:
+        # nothing to sort, so an edgeless input costs nothing per column
+        return sorted_rows.astype(np.intp, order="C")
     # from r = 64 on, n**r > 2**63 whenever n >= 2, and n**r need not be
     # computed; with n = 1 there are no rows
     if r >= 64 or n**r > 2**63:
@@ -157,7 +164,7 @@ class UniformHypergraph:
             raise ValueError(f"vertex count must be positive, got {n}")
         if r < 2:
             raise ValueError(f"uniformity must be at least 2, got {r}")
-        _check_vertex_count(n)
+        _check_sizes(n, r)
         if not isinstance(edges, (np.ndarray, list, tuple)):
             edges = list(edges)
         if not isinstance(edges, np.ndarray) and not set(map(type, edges)) <= {tuple, list}:
@@ -393,7 +400,7 @@ def parse_hypergraph(text: str) -> UniformHypergraph:
         raise FormatError(f"header must hold two integers, got {header!r}") from None
     if n < 1 or r < 2:
         raise FormatError(f"header needs n >= 1 and r >= 2, got n={n} r={r}")
-    _check_vertex_count(n, FormatError)
+    _check_sizes(n, r, FormatError)
     lines = lines[first + 1:]
     ids = _read_ids(lines, r) if text.isascii() else None
     if ids is None:
@@ -425,7 +432,7 @@ def hypergraph_from_json(text: str) -> UniformHypergraph:
         raise FormatError("fields 'n' and 'r' must be integers") from None
     if n < 1 or r < 2:
         raise FormatError(f"need n >= 1 and r >= 2, got n={n} r={r}")
-    _check_vertex_count(n, FormatError)
+    _check_sizes(n, r, FormatError)
     rows = obj["edges"]
     if not isinstance(rows, list):
         raise FormatError("field 'edges' must be an array of edges")
@@ -475,7 +482,7 @@ def complete(n: int, r: int) -> UniformHypergraph:
 
 def single_edge(r: int) -> UniformHypergraph:
     """One edge on exactly r vertices."""
-    _check_vertex_count(r)
+    _check_sizes(r, r)
     return UniformHypergraph(r, r, (tuple(range(r)),))
 
 
@@ -485,14 +492,14 @@ def loose_path(r: int, length: int) -> UniformHypergraph:
         raise ValueError(f"loose_path({r},{length}) needs length >= 1")
     _check_edge_count(length)
     n = length * (r - 1) + 1
-    _check_vertex_count(n)
+    _check_sizes(n, r)
     edges = tuple(tuple(range(k * (r - 1), k * (r - 1) + r)) for k in range(length))
     return UniformHypergraph(n, r, edges)
 
 
 def random_hypergraph(n: int, r: int, m: int, seed: int) -> UniformHypergraph:
     """m distinct edges drawn uniformly without replacement."""
-    _check_vertex_count(n)
+    _check_sizes(n, r)
     if n < r:
         raise ValueError(f"random({n},{r},...) needs n >= r")
     total = math.comb(n, r)

@@ -48,7 +48,7 @@ from the ratios at the iterate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -75,8 +75,6 @@ STALL_WINDOW = 100
 #: Relative residual at which the conjugate gradient inner solve stops.
 CG_RTOL = 1e-12
 
-_KIND_ALIASES = {"q": SIGNLESS_LAPLACIAN, "a": ADJACENCY}
-
 
 @dataclass
 class SolverConfig:
@@ -94,10 +92,7 @@ class SolverConfig:
             raise ValueError(f"max_iterations must be at least 1, got {self.max_iterations}")
 
     def to_json(self) -> dict:
-        return {
-            "tolerance": self.tolerance,
-            "max_iterations": self.max_iterations,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -216,7 +211,7 @@ def _split(T: TensorOperator) -> tuple[TensorOperator, np.ndarray, _Segments]:
     # new ids rise with the old ones inside a component, so every relabeled
     # edge is still a sorted row
     sub = UniformHypergraph(len(vertices), H.r, new_id[H.edge_array])
-    return TensorOperator.for_hypergraph(sub, T.kind), vertices, segments
+    return TensorOperator(T.kind, hypergraph=sub), vertices, segments
 
 
 def _newton_noda_step(T: TensorOperator, segs: _Segments, x: np.ndarray, lam: np.ndarray,
@@ -337,7 +332,8 @@ def power_iterate(T: TensorOperator, cfg: SolverConfig | None = None) -> EigenPa
     iteration and the vector e_0.
     """
     cfg = cfg or SolverConfig()
-    if T.kind == DENSE and not T.nonnegative:
+    # written so that a nan entry is refused too
+    if T.kind == DENSE and not T.tensor.entries.min() >= 0.0:
         raise ValueError("dense operator has negative entries; solver rejects it")
     if T.kind in HYPERGRAPH_KINDS and T.hypergraph.num_edges == 0:
         e0 = np.zeros(T.dim)
@@ -364,13 +360,6 @@ def power_iterate(T: TensorOperator, cfg: SolverConfig | None = None) -> EigenPa
     )
 
 
-def _resolve_kind(kind: str) -> str:
-    kind = _KIND_ALIASES.get(kind, kind)
-    if kind not in HYPERGRAPH_KINDS:
-        raise ValueError(f"spectral radius kind must be one of {HYPERGRAPH_KINDS}, got {kind!r}")
-    return kind
-
-
 def spectral_radius(H: UniformHypergraph, kind: str = ADJACENCY,
                     cfg: SolverConfig | None = None) -> EigenPair:
     """Spectral radius of the adjacency or signless Laplacian tensor of H.
@@ -387,5 +376,5 @@ def spectral_radius(H: UniformHypergraph, kind: str = ADJACENCY,
     iterated; an edgeless H gets value 0, bracket [0, 0], one iteration and
     the vector e_0.
     """
-    return power_iterate(TensorOperator.for_hypergraph(H, _resolve_kind(kind)), cfg)
+    return power_iterate(TensorOperator(kind, hypergraph=H), cfg)
 

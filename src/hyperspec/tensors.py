@@ -25,6 +25,7 @@ SIGNLESS_LAPLACIAN = "signless-laplacian"
 DENSE = "dense"
 
 HYPERGRAPH_KINDS = (ADJACENCY, SIGNLESS_LAPLACIAN)
+_KIND_ALIASES = {"a": ADJACENCY, "q": SIGNLESS_LAPLACIAN}
 
 
 class DenseTensor:
@@ -121,7 +122,7 @@ class TensorOperator:
 
     def __init__(self, kind: str, hypergraph: UniformHypergraph | None = None,
                  tensor: DenseTensor | None = None):
-        self.kind = kind
+        self.kind = kind = _KIND_ALIASES.get(kind, kind)
         if kind in HYPERGRAPH_KINDS:
             if hypergraph is None:
                 raise ValueError(f"kind {kind!r} needs a hypergraph")
@@ -158,19 +159,6 @@ class TensorOperator:
     @classmethod
     def dense(cls, tensor: DenseTensor) -> "TensorOperator":
         return cls(DENSE, tensor=tensor)
-
-    @classmethod
-    def for_hypergraph(cls, H: UniformHypergraph, kind: str) -> "TensorOperator":
-        if kind not in HYPERGRAPH_KINDS:
-            raise ValueError(f"unknown hypergraph tensor kind {kind!r}")
-        return cls(kind, hypergraph=H)
-
-    @property
-    def nonnegative(self) -> bool:
-        """Entrywise nonnegativity (required by the spectral solver)."""
-        if self.kind == DENSE:
-            return bool(self.tensor.entries.min() >= 0.0)
-        return True
 
     def _edge_sum(self, contrib: np.ndarray) -> np.ndarray:
         # bincount over the slot-major layout adds each vertex's terms slot

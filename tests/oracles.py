@@ -11,6 +11,7 @@ import random
 from collections import deque
 from itertools import combinations, permutations
 
+import mpmath
 import numpy as np
 
 from hyperspec import (
@@ -252,7 +253,7 @@ def solve_components(H, kind, cfg):
     iterations, converged = 0, True
     lower = upper = float("-inf")
     for comp in H.components():
-        pair = power_iterate(TensorOperator.for_hypergraph(comp.graph, kind), cfg)
+        pair = power_iterate(TensorOperator(kind, hypergraph=comp.graph), cfg)
         iterations += pair.iterations
         converged = converged and pair.converged
         lower, upper = max(lower, pair.lower), max(upper, pair.upper)
@@ -263,12 +264,24 @@ def solve_components(H, kind, cfg):
     return best.value, lower, upper, iterations, converged, vector
 
 
+def loose_path_radius(r, length):
+    """rho(A(loose_path(r, length))) as an mpmath number, to 40 digits.
+
+    The loose path is the power hypergraph of the graph path on length + 1
+    vertices: each edge of the path gets r - 2 vertices of its own.  The
+    path's radius is 2 cos(pi/(length + 2)), and a power hypergraph's
+    adjacency radius is the graph's to the power 2/r, so this is exact.
+    """
+    with mpmath.workdps(40):
+        return (2 * mpmath.cos(mpmath.pi / (length + 2))) ** (mpmath.mpf(2) / r)
+
+
 def perron_vector_check(H, pair, kind="adjacency", tolerance=1e-10):
     """For connected H: strict positivity plus residual within 10x tolerance."""
     vector = np.asarray(pair.vector, dtype=float)
     if not np.all(vector > 0):
         return False
-    T = TensorOperator.for_hypergraph(H, kind)
+    T = TensorOperator(kind, hypergraph=H)
     return eigen_residual(T, pair.value, vector) <= 10.0 * tolerance
 
 

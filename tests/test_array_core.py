@@ -511,7 +511,7 @@ def test_kernel_matches_cumprod_bit_for_bit(r, monkeypatch):
         return real_sum(self, contrib)
 
     monkeypatch.setattr(TensorOperator, "_edge_sum", recorded)
-    ops = [TensorOperator.for_hypergraph(H, k) for k in ("adjacency", "signless-laplacian")]
+    ops = [TensorOperator(k, hypergraph=H) for k in ("adjacency", "signless-laplacian")]
     got = [(op.apply(x), op.jacobian(x)(v)) for op in ops]
     apply_terms, jacobian_terms = oracles.edge_major_terms(H, x), oracles.edge_major_terms(H, x, v)
     assert np.array_equal(apply_terms, lo * hi)
@@ -577,7 +577,7 @@ def test_operator_slots_and_graph_arrays_are_read_only():
     H = random_hypergraph(9, 3, 12, seed=4)
     assert H.edge_array.flags.c_contiguous and H.edge_array.dtype == np.intp
     for kind in ("adjacency", "signless-laplacian"):
-        slots = TensorOperator.for_hypergraph(H, kind)._slots
+        slots = TensorOperator(kind, hypergraph=H)._slots
         assert slots.flags.c_contiguous and slots.dtype == np.intp
         assert np.array_equal(slots, H.edge_array.T)
         with pytest.raises(ValueError):

@@ -386,7 +386,7 @@ def test_lifted_bracket_meets_an_independent_blowup_solve(H, kind):
     # rounding bounds how far apart they may be.  The midpoint of one
     # bracket need not lie in the other, as both are up to 1e-10 wide
     bl = blowup(H)
-    report = blowup_mod._scaling_check(H, TensorOperator.for_hypergraph(bl.tilde, kind), None)
+    report = blowup_mod._scaling_check(H, TensorOperator(kind, hypergraph=bl.tilde), None)
     lifted = report.tilde_pair
     solved = spectral_radius(bl.tilde, kind)
     assert solved.converged and lifted.converged and report.ok

@@ -2,7 +2,11 @@
 
 import importlib
 import json
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -67,6 +71,18 @@ def test_spectrum_nonconvergence_exit(capsys):
 
 def test_bound_nonconvergence_exit(capsys):
     code, _, _ = run(capsys, ["bound", "--gen", "loose_path:3,2", "--max-iter", "1"])
+    assert code == 3
+
+
+@pytest.mark.parametrize("command", ["spectrum", "bound", "blowup", "verify"])
+def test_nonconvergence_exit_in_every_command(tmp_path, capsys, command):
+    # a check that read an unconverged solve decides nothing: 3 outranks 4
+    if command == "verify":
+        (tmp_path / "a.hg").write_text(render_hypergraph(loose_path(3, 2)))
+        argv = ["verify", str(tmp_path)]
+    else:
+        argv = [command, "--gen", "loose_path:3,2"] + (["--verify"] if command == "blowup" else [])
+    code, _, _ = run(capsys, [*argv, "--max-iter", "1"])
     assert code == 3
 
 
@@ -235,6 +251,46 @@ def test_vertex_count_beyond_intp_is_an_input_error(tmp_path, capsys, name, text
         assert "vertex count n=" in err and "does not fit" in err
 
 
+@pytest.mark.parametrize(
+    "name,text",
+    [("huge.hg", f"3 {2**62}\n"),
+     ("huge.json", json.dumps({"n": 3, "r": 2**63, "edges": []})),
+     ("edge.hg", f"3 {2**60}\n")],
+    ids=["text", "json", "boundary"],
+)
+def test_uniformity_beyond_edge_rows_is_an_input_error(tmp_path, capsys, name, text):
+    # numpy cannot shape an (m, r) intp array for r >= 2**60
+    (tmp_path / name).write_text(text)
+    for command in ("spectrum", "bound", "blowup"):
+        code, _, err = run(capsys, [command, "--in", str(tmp_path / name)])
+        assert code == 2
+        assert err.startswith("error: uniformity r=") and "exceeds" in err
+
+
+def test_edgeless_input_costs_nothing_per_column(tmp_path):
+    # an edgeless input is solved in closed form at every r an edge array
+    # can hold, and only blowup's vertex cap refuses it.  The child's
+    # address space is capped, so code that allocates per column of the
+    # (0, r) edge array exits 5 instead of taking the machine's memory
+    paths = [tmp_path / f"r{r}.hg" for r in (10**7, 2**30, 2**60 - 1)]
+    for path in paths:
+        path.write_text(f"3 {path.stem[1:]}\n")
+    script = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))\n"
+        "from hyperspec.cli import main\n"
+        "print([main([c, '--in', p]) for p in sys.argv[1:] for c in ('spectrum', 'bound', 'blowup')])\n"
+    )
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script, *map(str, paths)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [0, 0, 5] * 3
+    assert proc.stderr.count("error: blow-up needs") == 3
+
+
 # Header values and vertex ids are drawn from valid ones five times in
 # six; otherwise they are below 1, at or beyond 2**63 either way, or not
 # integers.  No vertex count lies between 10**4 and 2**63, where numpy may
@@ -312,7 +368,7 @@ def test_verify_skips_only_blowups_over_the_caps(tmp_path, capsys):
     assert rows[("a.hg", "blowup")][0] == "pass"
     assert rows[("b.hg", "blowup")] == ("skip", "skipped: size")
     assert [status for (name, _), (status, _) in rows.items() if name == "b.hg"] == [
-        "pass", "pass", "skip", "pass"]
+        "pass", "pass", "skip", "skip"]
 
 
 def test_verify_empty_corpus(tmp_path, capsys):
@@ -364,7 +420,7 @@ def test_verify_failure_bookkeeping_is_linear(capsys, monkeypatch):
 
     def checks(name, H, cfg):
         return [(name, "bounds", name not in failing, ""), (name, "blowup", None, "skipped"),
-                (name, "dominance", True, ""), (name, "odd-coloring", True, "")]
+                (name, "dominance", True, ""), (name, "odd-coloring", True, "")], True
 
     monkeypatch.setattr(cli_mod, "_builtin_instances", lambda: [(n, H) for n in names])
     monkeypatch.setattr(cli_mod, "_instance_checks", checks)
@@ -476,12 +532,14 @@ BUILTIN_INSTANCES = [
 
 
 def test_builtin_verify_rows_are_pinned(capsys):
-    # every builtin instance runs every check, and every check passes
+    # every builtin instance runs every check, and every check passes; odd
+    # colorings exist only for even r, so for odd r that row is a skip
+    even_r = {"single_edge:4", "loose_path:4,2", "random:10,4,8,3"}
     code, out, _ = run(capsys, ["verify", "--json"])
     assert code == 0
     rows = [(row["instance"], row["check"], row["status"]) for row in json.loads(out)["results"]]
     assert rows == [
-        (name, check, "pass")
+        (name, check, "skip" if check == "odd-coloring" and name not in even_r else "pass")
         for name in BUILTIN_INSTANCES
         for check in ("bounds", "dominance", "blowup", "odd-coloring")
     ]

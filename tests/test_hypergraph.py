@@ -53,6 +53,9 @@ def test_n_and_r_validated():
     with pytest.raises(ValueError, match=f"vertex count n={2**63} does not fit"):
         UniformHypergraph(2**63, 3)
     assert UniformHypergraph(2**63 - 1, 3).n == 2**63 - 1
+    # and r small enough that numpy can shape an (m, r) intp array
+    with pytest.raises(ValueError, match=f"uniformity r={2**60} exceeds"):
+        UniformHypergraph(3, 2**60)
 
 
 # parsing

@@ -4,6 +4,7 @@ import math
 import tracemalloc
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -47,6 +48,17 @@ def test_loose_path_radius_closed_form():
     pair = power_iterate(TensorOperator.adjacency(loose_path(3, 2)))
     assert abs(pair.value - RHO_LOOSE_PATH) < 1e-8
     assert abs(rho_loose_path(3, 2) - RHO_LOOSE_PATH) < 1e-15
+
+
+# length 1 is left out: there rho = 1, and mpmath's cos(pi/3) is not
+# exactly 1/2, so the exact comparison would test mpmath's rounding
+@pytest.mark.parametrize("length", [2, 3, 4, 7, 12, 200, 400])
+@pytest.mark.parametrize("r", range(2, 7))
+def test_bracket_holds_the_exact_loose_path_radius(r, length):
+    pair = spectral_radius(loose_path(r, length))
+    assert pair.converged
+    rho = oracles.loose_path_radius(r, length)
+    assert mpmath.mpf(pair.lower) <= rho <= mpmath.mpf(pair.upper)
 
 
 @pytest.mark.parametrize("r,length", [(3, 400), (4, 100)])
@@ -139,9 +151,9 @@ def test_distinct_index_tensor_radius():
 def test_negative_dense_rejected():
     from hyperspec import DenseTensor
 
-    T = DenseTensor(-np.ones((2, 2, 2)))
-    with pytest.raises(ValueError):
-        power_iterate(TensorOperator.dense(T))
+    for entries in (-np.ones((2, 2, 2)), np.full((2, 2, 2), np.nan)):
+        with pytest.raises(ValueError):
+            power_iterate(TensorOperator.dense(DenseTensor(entries)))
 
 
 def test_bracket_and_norm_invariants():
@@ -183,8 +195,13 @@ def test_disconnected_bracket_encloses_radius():
 
 
 def test_spectral_radius_q_single_edge():
-    pair = spectral_radius(single_edge(3), "q")
+    H = single_edge(3)
+    pair = spectral_radius(H, "q")
     assert abs(pair.value - 2.0) < 1e-10
+    # the short names are the operator's; a dense kind needs a tensor
+    assert spectral_radius(H, "a").to_json() == spectral_radius(H).to_json()
+    with pytest.raises(ValueError):
+        spectral_radius(H, "dense")
 
 
 def test_spectral_radius_empty():
@@ -377,7 +394,7 @@ def test_power_iterate_peak_memory_stays_near_two_gathers():
     H.is_connected()  # the cached component labels are built outside the trace
     gather = H.r * H.num_edges * 8
     for kind in ("adjacency", "signless-laplacian"):
-        T = TensorOperator.for_hypergraph(H, kind)
+        T = TensorOperator(kind, hypergraph=H)
         peaks = []
         for cap in (2, 10, 100):
             tracemalloc.start()

@@ -72,17 +72,11 @@ def test_operator_kind_examples():
     np.testing.assert_allclose(degree_term, [1, 1, 2, 1, 1])
 
 
-def test_operator_nonnegativity_flags():
-    assert TensorOperator.adjacency(single_edge(3)).nonnegative
-    assert TensorOperator.signless_laplacian(single_edge(3)).nonnegative
-    assert TensorOperator.dense(distinct_index_tensor(3)).nonnegative
-
-
 def test_homogeneity_of_apply():
     rng = np.random.default_rng(1)
     H = random_hypergraph(6, 3, 7, 3)
     for kind in ("adjacency", "signless-laplacian"):
-        T = TensorOperator.for_hypergraph(H, kind)
+        T = TensorOperator(kind, hypergraph=H)
         x = rng.standard_normal(6)
         c = 1.7
         np.testing.assert_allclose(T.apply(c * x), c ** (H.r - 1) * T.apply(x), rtol=1e-12)
@@ -120,7 +114,7 @@ def _jacobian_cases(draw):
 @given(_jacobian_cases(), st.sampled_from(["adjacency", "signless-laplacian"]))
 def test_jacobian_apply_matches_dense_contraction(case, kind):
     H, x, v = case
-    T = TensorOperator.for_hypergraph(H, kind)
+    T = TensorOperator(kind, hypergraph=H)
     # (r-1) T x^(r-2), the dense tensor contracted r-2 times with x
     matrix = dense_tensor_of(H, kind).entries
     for _ in range(H.r - 2):
@@ -153,7 +147,7 @@ def test_jacobian_products_share_no_result_buffer(case, kind):
     # one product function reuses its work rows across calls; no result
     # may alias them
     H, x, v1, v2 = case
-    T = TensorOperator.for_hypergraph(H, kind)
+    T = TensorOperator(kind, hypergraph=H)
     jac = T.jacobian(x)
     first = jac(v1)
     kept = first.copy()
@@ -185,7 +179,7 @@ def _workspace_cases(draw):
 @given(_workspace_cases())
 def test_apply_through_a_workspace_matches_a_fresh_apply(case):
     H, x1, x2 = case
-    ops = [TensorOperator.for_hypergraph(H, kind) for kind in ("adjacency", "signless-laplacian")]
+    ops = [TensorOperator(kind, hypergraph=H) for kind in ("adjacency", "signless-laplacian")]
     if H.r <= 4:
         ops.append(TensorOperator.dense(dense_tensor_of(H, "adjacency")))
     for T in ops:
