@@ -26,7 +26,6 @@ from .hypergraph import (
     find_odd_coloring,
     generate,
     hypergraph_from_json,
-    hypergraph_to_json,
     load_hypergraph,
     loose_path,
     parse_hypergraph,

@@ -25,10 +25,16 @@ EQUALITY_TOLERANCE_FACTOR = 100.0
 
 def degree_power_mean_bound(H: UniformHypergraph) -> float:
     """((1/n) sum_i d_i^(r/(r-1)))^((r-1)/r), a lower bound on the adjacency
-    spectral radius.  For r=2 this is the classical sum-of-squares bound."""
+    spectral radius.  For r=2 this is the classical sum-of-squares bound.
+
+    The mean is taken of the degrees divided by the largest one, so that on
+    a regular hypergraph every term is exactly 1 and the bound is exactly
+    its degree, equal to :func:`average_degree_bound` bit for bit; an
+    edgeless hypergraph gives 0.
+    """
     p = H.r / (H.r - 1)
-    d = H.degree_array.astype(float)
-    return float((np.sum(d**p) / H.n) ** (1.0 / p))
+    top = max(int(H.degree_array.max()), 1)
+    return float(top * np.mean((H.degree_array / top) ** p) ** (1.0 / p))
 
 
 def q_degree_bound(H: UniformHypergraph) -> float:
@@ -140,15 +146,11 @@ def verify_bounds(H: UniformHypergraph, cfg: SolverConfig | None = None) -> list
             pair=pair,
         )
 
-    reports = [
+    return [
         build(ADJACENCY, pm, pair_a, characterized),
         build(SIGNLESS_LAPLACIAN, 2.0 * pm, pair_q, characterized),
         build(AVERAGE_DEGREE, avg, pair_a, characterized),
     ]
-    if connected and pm < avg - 1e-12:
-        # power-mean dominance is an identity; a violation is a bug
-        reports[2].consistent = False
-    return reports
 
 
 def bounds_hold(reports: list[BoundReport], tolerance: float) -> bool:
@@ -158,13 +160,11 @@ def bounds_hold(reports: list[BoundReport], tolerance: float) -> bool:
 
 
 def dominance_holds(reports: list[BoundReport]) -> bool:
-    """The dominance gate: the power-mean bound is at least the average
-    degree, with equality exactly on regular hypergraphs, and the adjacency
-    radius is at least the average degree (up to 1e-8)."""
-    by_kind = {rep.kind: rep for rep in reports}
-    pm, avg = by_kind[ADJACENCY], by_kind[AVERAGE_DEGREE]
-    return (
-        pm.bound >= avg.bound - 1e-12
-        and (abs(pm.bound - avg.bound) <= 1e-9) == pm.regular
-        and pm.rho >= avg.bound - 1e-8
-    )
+    """The dominance gate, on the reports of :func:`verify_bounds`: the
+    power-mean bound is at least the average degree, and equal to it exactly
+    when the hypergraph is regular.  Both sides are exact on a regular
+    hypergraph (see :func:`degree_power_mean_bound`), so the comparison
+    needs no tolerance; that the radius clears the average degree is the
+    average-degree row of :func:`bounds_hold`."""
+    pm, avg = reports[0], reports[2]
+    return pm.bound >= avg.bound and (pm.bound == avg.bound) == pm.regular

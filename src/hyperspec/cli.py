@@ -131,7 +131,8 @@ def cmd_bound(args) -> tuple[bool, bool]:
                 f"consistent={rep.consistent}"
             )
         _emit(args, "\n".join(lines))
-    return all(rep.converged for rep in reports), bounds_hold(reports, cfg.tolerance)
+    ok = bounds_hold(reports, cfg.tolerance) and dominance_holds(reports)
+    return all(rep.converged for rep in reports), ok
 
 
 def cmd_blowup(args) -> tuple[bool, bool]:

@@ -42,8 +42,13 @@ _R_MAX = _INTP_MAX // np.dtype(np.intp).itemsize
 
 
 def _check_sizes(n: int, r: int, error: type[ValueError] = ValueError) -> None:
-    """Refuse a vertex count that an intp cannot hold, or a uniformity whose
-    edge rows numpy cannot shape, before anything is built for them."""
+    """The one header check of every route in (constructor, both parsers,
+    generators): refuse, as ``error``, a hypergraph without vertices, edges
+    of fewer than two vertices, a vertex count that an intp cannot hold, or
+    a uniformity whose edge rows numpy cannot shape, before anything is
+    built for them."""
+    if n < 1 or r < 2:
+        raise error(f"need n >= 1 and r >= 2, got n={n} r={r}")
     if n > _INTP_MAX:
         raise error(f"vertex count n={n} does not fit in a {_INTP_BITS}-bit integer")
     if r > _R_MAX:
@@ -160,23 +165,19 @@ class UniformHypergraph:
             raise ValueError(
                 f"vertex count and uniformity must be integers, got {n!r} and {r!r}"
             ) from None
-        if n < 1:
-            raise ValueError(f"vertex count must be positive, got {n}")
-        if r < 2:
-            raise ValueError(f"uniformity must be at least 2, got {r}")
         _check_sizes(n, r)
         if not isinstance(edges, (np.ndarray, list, tuple)):
             edges = list(edges)
         if not isinstance(edges, np.ndarray) and not set(map(type, edges)) <= {tuple, list}:
             # a string row would otherwise be read digit by digit
             if any(map(_not_a_row, edges)):
-                raise _edge_error(edges, n, r)
+                raise _row_error(edges, n, r)
         ids = _id_matrix(edges, r)
         if ids is None or (len(ids) and (ids.min() < 0 or ids.max() >= n)):
-            raise _edge_error(edges, n, r)
+            raise _row_error(edges, n, r)
         ids = np.sort(ids, axis=1)
         if np.any(ids[:, 1:] == ids[:, :-1]):
-            raise _edge_error(edges, n, r)
+            raise _row_error(edges, n, r)
         ids = _unique_rows(ids, n)
         ids.setflags(write=False)
         object.__setattr__(self, "n", n)
@@ -287,23 +288,27 @@ class Component:
     vertices: tuple[int, ...]
 
 
-def _edge_error(rows, n: int, r: int) -> ValueError:
-    """The error for the first row, in input order, that is not an edge of
-    an r-uniform hypergraph on 0..n-1."""
+def _row_error(rows, n: int, r: int, base: int = 0,
+               error: type[ValueError] = ValueError) -> ValueError:
+    """The ``error`` for the first row, in input order, that is not an edge
+    of an r-uniform hypergraph on the ids base..base+n-1: the constructor
+    passes base 0, the parsers base 1.  The checks run in the order the
+    messages are listed."""
     if isinstance(rows, np.ndarray):
         rows = rows.tolist()
-    for edge in rows:
-        if _not_a_row(edge):
-            return ValueError(f"edge {edge!r} must contain exactly {r} distinct vertices")
+    for verts in rows:
+        if _not_a_row(verts) or len(verts) != r:
+            shown = verts if _not_a_row(verts) else list(verts)
+            return error(f"edge {shown!r} must list exactly {r} vertices")
         try:
-            ids = [_as_int(v) for v in edge]
+            ids = [_as_int(v) for v in verts]
         except ValueError:
-            return ValueError(f"edge {tuple(edge)} holds a non-integer vertex id")
-        if len(ids) != r or len(set(ids)) != r:
-            return ValueError(f"edge {tuple(edge)} must contain exactly {r} distinct vertices")
-        if min(ids) < 0 or max(ids) >= n:
-            return ValueError(f"edge {tuple(edge)} has a vertex outside 0..{n - 1}")
-    return ValueError(f"vertex ids must fit in {_INTP_BITS}-bit integers")
+            return error(f"edge {list(verts)} holds a non-integer vertex id")
+        if any(v < base or v >= base + n for v in ids):
+            return error(f"edge {ids} has a vertex outside {base}..{base + n - 1}")
+        if len(set(ids)) != r:
+            return error(f"edge {ids} repeats a vertex")
+    return error(f"vertex ids must fit in {_INTP_BITS}-bit integers")
 
 
 # ---------------------------------------------------------------------------
@@ -311,23 +316,6 @@ def _edge_error(rows, n: int, r: int) -> ValueError:
 # a line whose first non-blank character is '#' is a comment.
 # JSON mirror: {"n": ..., "r": ..., "edges": [[...], ...]}.
 # ---------------------------------------------------------------------------
-
-
-def _row_error(rows, n: int, r: int) -> FormatError:
-    """The error for the first row, in input order, that is not a valid
-    1-based edge; the checks run in the order the messages are listed."""
-    for verts in rows:
-        if len(verts) != r:
-            return FormatError(f"edge {list(verts)} must list exactly {r} vertices")
-        try:
-            ids = [_as_int(v) for v in verts]
-        except ValueError:
-            return FormatError(f"edge {list(verts)} holds a non-integer vertex id")
-        if any(v < 1 or v > n for v in ids):
-            return FormatError(f"edge {ids} has a vertex outside 1..{n}")
-        if len(set(ids)) != r:
-            return FormatError(f"edge {ids} repeats a vertex")
-    return FormatError(f"vertex ids must fit in {_INTP_BITS}-bit integers")
 
 
 def _from_rows(rows, n: int, r: int) -> tuple[UniformHypergraph, int]:
@@ -342,7 +330,7 @@ def _from_rows(rows, n: int, r: int) -> tuple[UniformHypergraph, int]:
             raise ValueError
         H = UniformHypergraph(n, r, ids - 1)
     except ValueError:
-        raise _row_error(rows, n, r) from None
+        raise _row_error(rows, n, r, 1, FormatError) from None
     return H, len(rows) - H.num_edges
 
 
@@ -398,8 +386,6 @@ def parse_hypergraph(text: str) -> UniformHypergraph:
         n, r = int(head[0]), int(head[1])
     except ValueError:
         raise FormatError(f"header must hold two integers, got {header!r}") from None
-    if n < 1 or r < 2:
-        raise FormatError(f"header needs n >= 1 and r >= 2, got n={n} r={r}")
     _check_sizes(n, r, FormatError)
     lines = lines[first + 1:]
     ids = _read_ids(lines, r) if text.isascii() else None
@@ -430,8 +416,6 @@ def hypergraph_from_json(text: str) -> UniformHypergraph:
         n, r = _as_int(obj["n"]), _as_int(obj["r"])
     except ValueError:
         raise FormatError("fields 'n' and 'r' must be integers") from None
-    if n < 1 or r < 2:
-        raise FormatError(f"need n >= 1 and r >= 2, got n={n} r={r}")
     _check_sizes(n, r, FormatError)
     rows = obj["edges"]
     if not isinstance(rows, list):
@@ -443,12 +427,6 @@ def hypergraph_from_json(text: str) -> UniformHypergraph:
     if dups:
         _warn_dropped(dups)
     return H
-
-
-def hypergraph_to_json(H: UniformHypergraph) -> str:
-    return json.dumps(
-        {"n": H.n, "r": H.r, "edges": [[v + 1 for v in edge] for edge in H.edges]}
-    )
 
 
 def load_hypergraph(text: str) -> UniformHypergraph:

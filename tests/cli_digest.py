@@ -47,6 +47,11 @@ FILES = {
     "r30.hg": f"3 {2**30}\n",
     "r60m1.hg": f"3 {2**60 - 1}\n",
     "bad.hg": "4 3\n1 2 9\n",
+    "repeat.hg": "4 3\n1 2 3\n2 4 2\n",
+    "arity.hg": "4 3\n1 2 3\n1 2\n",
+    "n0.hg": "0 3\n",
+    "r1.hg": "3 1\n",
+    "n0.json": json.dumps({"n": 0, "r": 3, "edges": []}),
 }
 
 #: Directories for ``verify``: name -> the files above that it holds.
@@ -78,6 +83,9 @@ EDGE_CASES = [
     "bound --gen loose_path:3,2 --csv",
     "bound --gen random:9,3,12,2 --csv",
     "bound --gen complete:4,3",
+    # a regular input of large degree, where the bound equals the degree
+    "bound --gen complete:70,3",
+    "bound --gen complete:70,3 --json",
     "bound --gen random:10,4,8,3 --json",
     "spectrum --gen complete:5,3",
     "spectrum --gen loose_path:3,3 --kind q --json",
@@ -91,6 +99,13 @@ EDGE_CASES = [
     # input errors and capacity
     "spectrum --gen nope:1",
     "spectrum --in {f}/bad.hg",
+    "spectrum --in {f}/repeat.hg",
+    "spectrum --in {f}/arity.hg",
+    "spectrum --in {f}/n0.hg",
+    "spectrum --in {f}/r1.hg",
+    "spectrum --in {f}/n0.json",
+    "spectrum --gen single_edge:1",
+    "spectrum --gen complete:5,1",
     "spectrum --in {f}/missing.hg",
     "blowup --gen loose_path:3,10000",
 ]

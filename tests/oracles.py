@@ -171,11 +171,13 @@ def canonical_edges(n, r, edges):
     the constructor's ValueError for the first bad edge in input order."""
     canon = set()
     for edge in edges:
+        if len(edge) != r:
+            raise ValueError(f"edge {list(edge)} must list exactly {r} vertices")
         t = tuple(sorted(int(v) for v in edge))
-        if len(t) != r or len(set(t)) != r:
-            raise ValueError(f"edge {tuple(edge)} must contain exactly {r} distinct vertices")
         if t[0] < 0 or t[-1] >= n:
-            raise ValueError(f"edge {tuple(edge)} has a vertex outside 0..{n - 1}")
+            raise ValueError(f"edge {list(edge)} has a vertex outside 0..{n - 1}")
+        if len(set(t)) != r:
+            raise ValueError(f"edge {list(edge)} repeats a vertex")
         canon.add(t)
     return tuple(sorted(canon))
 
@@ -352,7 +354,7 @@ def parse_text(text):
     except ValueError:
         raise FormatError(f"header must hold two integers, got {rows[0]!r}") from None
     if n < 1 or r < 2:
-        raise FormatError(f"header needs n >= 1 and r >= 2, got n={n} r={r}")
+        raise FormatError(f"need n >= 1 and r >= 2, got n={n} r={r}")
     bits = np.dtype(np.intp).itemsize * 8
     if n >= 2 ** (bits - 1):
         raise FormatError(f"vertex count n={n} does not fit in a {bits}-bit integer")

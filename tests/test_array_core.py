@@ -395,8 +395,56 @@ def test_json_edge_rows_must_be_arrays(edges, message, tmp_path, capsys):
 
 @pytest.mark.parametrize("rows", [["012"], [b"012"], [1, 2, 3], [(0, 1, 2), 5]])
 def test_constructor_rows_must_be_sequences(rows):
-    with pytest.raises(ValueError, match="must contain exactly 3 distinct vertices"):
+    with pytest.raises(ValueError, match="must list exactly 3 vertices"):
         UniformHypergraph(3, 3, rows)
+
+
+ARITY, NON_INTEGER = "must list exactly 3 vertices", "holds a non-integer vertex id"
+
+
+@pytest.mark.parametrize(
+    "row, fault",
+    [
+        ([1, 2], ARITY),
+        ([1, 2, 3, 4], ARITY),
+        (5, ARITY),
+        ([1, "x", 3], NON_INTEGER),
+        ([1, 2.5, 3], NON_INTEGER),
+        ([1, 2, 5], "has a vertex outside {lo}..{hi}"),
+        ([0, 1, 2], "has a vertex outside {lo}..{hi}"),
+        ([2, 1, 2], "repeats a vertex"),
+    ],
+    ids=["short", "long", "non-sequence", "token", "fraction", "above", "below", "repeat"],
+)
+def test_every_route_names_the_same_bad_row(row, fault):
+    # one 1-based bad row of a 3-graph on 4 vertices, between good ones: the
+    # constructor reads it 0-based, the parsers 1-based, and each names it
+    # as it read it, the text parser as tokens until they are ids
+    rows = [[1, 2, 3], row, [2, 3, 4]]
+
+    def shift(values):
+        return [v if isinstance(v, str) else v - 1 for v in values]
+
+    def message(values, base):
+        return f"edge {values!r} {fault.format(lo=base, hi=base + 3)}"
+
+    zero = shift(row) if isinstance(row, list) else row - 1
+    with pytest.raises(ValueError) as exc:
+        UniformHypergraph(4, 3, [shift(rows[0]), zero, shift(rows[2])])
+    assert exc.type is ValueError and str(exc.value) == message(zero, 0)
+
+    tokens = [str(v) for v in (row if isinstance(row, list) else [row])]
+    with pytest.raises(FormatError) as exc:
+        parse_hypergraph("4 3\n" + "".join(" ".join(map(str, line)) + "\n"
+                                           for line in (rows[0], tokens, rows[2])))
+    read = tokens if fault in (ARITY, NON_INTEGER) else list(map(int, tokens))
+    assert str(exc.value) == message(read, 1)
+
+    with pytest.raises(FormatError) as exc:
+        hypergraph_from_json(json.dumps({"n": 4, "r": 3, "edges": rows}))
+    # the JSON parser names a row that is not an array in its own words
+    want = message(row, 1) if isinstance(row, list) else "edge 5 must be an array of 3 vertex ids"
+    assert str(exc.value) == want
 
 
 # disconnected inputs: one batched solve against one solve per component

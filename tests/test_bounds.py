@@ -1,9 +1,13 @@
 """Tests for the degree power-mean bounds, weights, and certificates."""
 
 import math
+from itertools import combinations
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyperspec import (
     SolverConfig,
@@ -205,6 +209,75 @@ def test_dominance_over_average_degree():
             assert abs(pm - avg) < 1e-9
         else:
             assert pm > avg + 1e-12
+
+
+def _complete_sizes(r, max_edges=200_000):
+    n = r
+    while math.comb(n, r) < max_edges:
+        yield n
+        n += 1
+
+
+@pytest.mark.parametrize("r", [2, 3, 4, 5])
+def test_power_mean_of_complete_is_its_degree_exactly(r):
+    # the bound reads only n, r and the degrees, so every size is checked on
+    # the degree sequence of complete(n, r); the largest size, and one in
+    # the middle, are built to show that it is that sequence
+    sizes = list(_complete_sizes(r))
+    for n in sizes:
+        d = math.comb(n - 1, r - 1)
+        H = SimpleNamespace(n=n, r=r, num_edges=n * d // r, degree_array=np.full(n, d))
+        assert degree_power_mean_bound(H) == d == average_degree_bound(H)
+    for n in (sizes[-1], sizes[len(sizes) // 2]):
+        H = complete(n, r)
+        assert np.array_equal(H.degree_array, np.full(n, math.comb(n - 1, r - 1)))
+        assert degree_power_mean_bound(H) == math.comb(n - 1, r - 1)
+
+
+def _tight_cycle(n, r, moved):
+    """The r-uniform tight cycle on n vertices, edges {k, ..., k+r-1 mod n},
+    which is r-regular; with ``moved``, its first edge trades its last
+    vertex for the next one not on it."""
+    edges = [[(k + j) % n for j in range(r)] for k in range(n)]
+    if moved:
+        edges[0][-1] = r
+    return UniformHypergraph(n, r, edges)
+
+
+@st.composite
+def _degree_sequences(draw):
+    """Hypergraphs for r = 2..6 with regular, near-regular and irregular
+    degree sequences: random ones, complete ones with and without one edge,
+    and tight cycles with and without one edge moved; then maybe two
+    disjoint copies, with or without an isolated vertex."""
+    r = draw(st.integers(2, 6))
+    shape = draw(st.sampled_from(["random", "complete", "cycle"]))
+    if shape == "random":
+        n = draw(st.integers(r, 60))
+        m = draw(st.integers(0, min(300, math.comb(n, r))))
+        H = random_hypergraph(n, r, m, seed=draw(st.integers(0, 2**31)))
+    elif shape == "complete":
+        n = draw(st.integers(r, 40).filter(lambda n: math.comb(n, r) <= 5000))
+        edges = list(combinations(range(n), r))
+        if draw(st.booleans()):
+            del edges[draw(st.integers(0, len(edges) - 1))]
+        H = UniformHypergraph(n, r, edges)
+    else:
+        H = _tight_cycle(draw(st.integers(r + 2, 60)), r, draw(st.booleans()))
+    if draw(st.booleans()):
+        isolated = draw(st.integers(0, 1))
+        edges = np.vstack([H.edge_array, H.edge_array + H.n])
+        H = UniformHypergraph(2 * H.n + isolated, r, edges)
+    return H
+
+
+@settings(max_examples=300, deadline=None)
+@given(_degree_sequences())
+def test_power_mean_dominates_the_average_exactly(H):
+    pm = degree_power_mean_bound(H)
+    avg = average_degree_bound(H)
+    assert pm >= avg
+    assert (pm == avg) == H.is_regular()
 
 
 def test_dominance_gate():

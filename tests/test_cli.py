@@ -105,6 +105,24 @@ def test_bound_equality_on_regular(capsys):
             assert rep["equality"] is True
 
 
+@pytest.mark.parametrize("spec", ["complete:70,3", "complete:28,4"])
+def test_bound_passes_regular_inputs_of_large_degree(capsys, spec):
+    # the power mean of a constant degree sequence is that degree exactly,
+    # so it equals the average degree and the dominance rule holds
+    code, out, _ = run(capsys, ["bound", "--gen", spec, "--json"])
+    assert code == 0
+    reports = json.loads(out)["reports"]
+    assert reports[0]["bound"] == reports[2]["bound"]
+
+
+def test_verify_passes_a_regular_input_of_large_degree(tmp_path, capsys):
+    (tmp_path / "c70.hg").write_text(render_hypergraph(generate("complete:70,3")))
+    code, out, _ = run(capsys, ["verify", str(tmp_path)])
+    assert code == 0
+    status = {line.split()[1]: line.split()[2] for line in out.splitlines()[1:-1]}
+    assert status["bounds"] == status["dominance"] == "PASS"
+
+
 def test_bound_csv(capsys):
     code, out, _ = run(capsys, ["bound", "--gen", "single_edge:3", "--csv"])
     assert code == 0
@@ -172,6 +190,26 @@ def test_input_file_and_bad_file(tmp_path, capsys):
 
     code, _, _ = run(capsys, ["bound", "--in", str(tmp_path / "missing.hg")])
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "name,text,message",
+    [("zero.hg", "0 3\n", "n=0 r=3"),
+     ("one.hg", "3 1\n1\n", "n=3 r=1"),
+     ("zero.json", '{"n": 0, "r": 3, "edges": []}', "n=0 r=3"),
+     (None, "single_edge:1", "n=1 r=1"),
+     (None, "complete:5,1", "n=5 r=1")],
+)
+def test_header_out_of_range_is_one_input_error(tmp_path, capsys, name, text, message):
+    # the constructor, both parsers and the generators share one header check
+    if name is None:
+        source = ["--gen", text]
+    else:
+        (tmp_path / name).write_text(text)
+        source = ["--in", str(tmp_path / name)]
+    code, _, err = run(capsys, ["spectrum", *source])
+    assert code == 2
+    assert err == f"error: need n >= 1 and r >= 2, got {message}\n"
 
 
 def test_bad_generator_spec(capsys):
