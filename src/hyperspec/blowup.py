@@ -200,17 +200,10 @@ def check_product_identity(
     trials: int = 50,
     seed: int = 0,
     rtol: float = IDENTITY_RTOL,
-    tilde: UniformHypergraph | None = None,
 ) -> ProductIdentityCheck:
     """Verify the blow-up adjacency equals the direct product, entry by
-    entry, and cross-check the apply kernels on ``trials`` random vectors.
-
-    ``tilde`` overrides the constructed blow-up; it exists as a fault
-    injection seam so tests can confirm a mutated blow-up is rejected.
-    """
-    if tilde is None:
-        tilde = blowup(H).tilde
-    return _identity_trials(H, tilde, trials, seed, rtol)[0]
+    entry, and cross-check the apply kernels on ``trials`` random vectors."""
+    return _identity_trials(H, blowup(H).tilde, trials, seed, rtol)[0]
 
 
 @dataclass

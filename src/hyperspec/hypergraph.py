@@ -452,6 +452,7 @@ def _check_edge_count(m: int) -> None:
 
 def complete(n: int, r: int) -> UniformHypergraph:
     """All r-subsets of {0..n-1}; regular of degree C(n-1, r-1)."""
+    _check_sizes(n, r)
     if n < r:
         raise ValueError(f"complete({n},{r}) needs n >= r")
     _check_edge_count(math.comb(n, r))
@@ -466,6 +467,8 @@ def single_edge(r: int) -> UniformHypergraph:
 
 def loose_path(r: int, length: int) -> UniformHypergraph:
     """length edges in a row, consecutive edges sharing exactly one vertex."""
+    if r < 2:
+        raise ValueError(f"loose_path({r},{length}) needs r >= 2")
     if length < 1:
         raise ValueError(f"loose_path({r},{length}) needs length >= 1")
     _check_edge_count(length)

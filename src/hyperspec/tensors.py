@@ -233,9 +233,14 @@ class TensorOperator:
             raise ValueError(f"vector dimension {x.shape} does not match {self.dim}")
         if self.kind == DENSE:
             return self.tensor.apply(x)
-        if self.kind == ADJACENCY:
-            return self._apply_adjacency(x, work)
-        return self._deg * x ** (self.order - 1) + self._apply_adjacency(x, work)
+        y = self._apply_adjacency(x, work)
+        if self.kind == SIGNLESS_LAPLACIAN:
+            # the degree term in place, so that the apply holds one n-vector
+            # besides its result; the sum is the same either way round
+            diagonal = x ** (self.order - 1)
+            diagonal *= self._deg
+            y += diagonal
+        return y
 
     def jacobian(self, x) -> Callable[[np.ndarray], np.ndarray]:
         """The Jacobian of ``x -> Tx`` at x, as the product ``v -> J(x) v``.

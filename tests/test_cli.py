@@ -198,7 +198,8 @@ def test_input_file_and_bad_file(tmp_path, capsys):
      ("one.hg", "3 1\n1\n", "n=3 r=1"),
      ("zero.json", '{"n": 0, "r": 3, "edges": []}', "n=0 r=3"),
      (None, "single_edge:1", "n=1 r=1"),
-     (None, "complete:5,1", "n=5 r=1")],
+     (None, "complete:5,1", "n=5 r=1"),
+     (None, "complete:5,-1", "n=5 r=-1")],
 )
 def test_header_out_of_range_is_one_input_error(tmp_path, capsys, name, text, message):
     # the constructor, both parsers and the generators share one header check
@@ -216,6 +217,13 @@ def test_bad_generator_spec(capsys):
     code, _, err = run(capsys, ["spectrum", "--gen", "complete:2,3"])
     assert code == 2
     assert "error" in err
+
+
+def test_loose_path_refusal_names_the_given_values(capsys):
+    # n is derived from r and the length, so the check of r comes first
+    code, _, err = run(capsys, ["spectrum", "--gen", "loose_path:0,3"])
+    assert code == 2
+    assert err == "error: loose_path(0,3) needs r >= 2\n"
 
 
 def test_blowup_writes_file(tmp_path, capsys):

@@ -51,8 +51,10 @@ def test_loose_path_radius_closed_form():
 
 
 # length 1 is left out: there rho = 1, and mpmath's cos(pi/3) is not
-# exactly 1/2, so the exact comparison would test mpmath's rounding
-@pytest.mark.parametrize("length", [2, 3, 4, 7, 12, 200, 400])
+# exactly 1/2, so the exact comparison would test mpmath's rounding.  The
+# mixed steps close many brackets to zero width, where the rounding margin
+# decides
+@pytest.mark.parametrize("length", [*range(2, 41), 60, 100, 200, 400])
 @pytest.mark.parametrize("r", range(2, 7))
 def test_bracket_holds_the_exact_loose_path_radius(r, length):
     pair = spectral_radius(loose_path(r, length))
@@ -463,6 +465,54 @@ def test_power_steps_never_raise_the_upper_side(H, make_operator):
     uppers = [power_iterate(T, SolverConfig(max_iterations=k)).upper for k in caps]
     for before, after in zip(uppers, uppers[1:]):
         assert after <= before + 4 * np.spacing(before)
+
+
+def test_mixed_step_iteration_counts():
+    # the plain step takes 21 (A) and 50 (Q) iterations here
+    H = random_hypergraph(2000, 3, 20000, 1)
+    for kind, most in (("adjacency", 18), ("q", 30)):
+        pair = spectral_radius(H, kind)
+        assert pair.converged
+        assert pair.iterations <= most, kind
+
+
+@pytest.mark.parametrize("kind", ["adjacency", "q"])
+def test_rejected_mixed_steps_stand_down(monkeypatch, kind):
+    # every mixed step shrinks one entry of the plain step, so its ratio,
+    # and with it the upper side, rises: each is rejected, and after
+    # REJECTION_LIMIT of them the run keeps the plain step and converges
+    calls = []
+
+    def raising(self, x, plain, out, work):
+        calls.append(1)
+        out[:] = plain
+        out[0] *= 1e-3
+        return True
+
+    monkeypatch.setattr(solver._Anderson, "extrapolate", raising)
+    H = random_hypergraph(200, 3, 1000, 1)
+    pair = spectral_radius(H, kind)
+    assert len(calls) == solver.REJECTION_LIMIT
+    assert pair.converged
+    monkeypatch.undo()
+    mixed = spectral_radius(H, kind)
+    assert abs(pair.value - mixed.value) <= 1e-9
+    # each rejection costs one apply, and the plain steps contract slower
+    assert pair.iterations > mixed.iterations
+
+
+@pytest.mark.parametrize("kind,factor", [("adjacency", 1), ("q", 2)])
+@pytest.mark.parametrize(
+    "H", [single_edge(4), complete(5, 3), complete(4, 3), complete(9, 4), complete(30, 4)],
+    ids=["edge4", "complete5_3", "complete4_3", "complete9_4", "complete30_4"],
+)
+def test_regular_input_converges_at_once_inside_its_bracket(H, kind, factor):
+    # rho is exactly d (A) or 2d (Q); the first iterate is the Perron
+    # vector, and the rounding margin keeps d inside the bracket
+    d = int(H.degree_array[0])
+    pair = spectral_radius(H, kind)
+    assert pair.converged and pair.iterations == 1
+    assert pair.lower <= factor * d <= pair.upper
 
 
 def test_q_step_iteration_count():
