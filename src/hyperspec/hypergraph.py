@@ -126,10 +126,18 @@ def _component_labels(n: int, edges: np.ndarray) -> np.ndarray:
     root, each component's smallest vertex is its own root and labels it all.
     """
     label = np.arange(n)
+    # the loop below costs time per column, and an edgeless r may be huge
+    if not len(edges):
+        return label
     while True:
         roots = label[edges]
-        low = roots.min(axis=1)
-        if np.all(roots == low[:, None]):
+        # column by column: a row-wise reduction over r entries is an
+        # order of magnitude slower
+        columns = roots.T
+        low = columns[0].copy()
+        for column in columns[1:]:
+            np.minimum(low, column, out=low)
+        if all(np.array_equal(column, low) for column in columns):
             return label
         np.minimum.at(label, roots.ravel(), np.repeat(low, edges.shape[1]))
         while True:

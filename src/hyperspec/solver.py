@@ -4,8 +4,12 @@ Each step applies the shifted operator, ``y = Tx + shift * x^[r-1]``, reads
 off the componentwise ratio bracket ``min_i y_i / x_i^{r-1} <= rho(T + shift)
 <= max_i ...`` (valid for any nonnegative tensor and positive x), and
 declares convergence when the bracket closes below the configured
-tolerance.  The next iterate is ``y^(1/(r-1))`` (Ng, Qi & Zhou 2009), except
-for the signless Laplacian Q = D + A: there the degree diagonal d would
+tolerance.  The run starts from the all-ones vector and normalizes it only
+once its first ratios are read: every product of a hypergraph operator's
+first apply is then 1 and every vertex sum an integer, so those ratios are
+exact, and a regular hypergraph's bracket closes at once on its radius.
+The next iterate is ``y^(1/(r-1))`` (Ng, Qi & Zhou 2009), except for the
+signless Laplacian Q = D + A: there the degree diagonal d would
 dominate the update of every high-degree vertex, so, as in Noda's iteration,
 it moves into a denominator, ``x^[r-1] <- (y - d x^[r-1]) / (lam - d)``
 with lam the upper side.  The step costs no extra apply; since
@@ -53,11 +57,16 @@ gap is small, as on long loose paths.  For hypergraph operators the bracket
 gap is checked every ``STALL_WINDOW`` iterations; if it shrank by less than
 half, the run switches to Newton-Noda steps (Liu, Guo & Lin 2017), which
 converge in a handful of steps.  Each vertex's lam is its segment's upper
-side, so the Jacobian system is block diagonal and one conjugate gradient
-solve covers every segment.  The iterate is fixed for the whole solve, so
-the Jacobian's x-only work (the gather, the prefix and suffix products and
-the diagonal) is done once per step, not once per conjugate gradient
-product.  A segment whose upper side is below the best lower side can no
+side, so the Jacobian system is block diagonal and one solve covers every
+segment.  When every segment is a hypertree (Berge-acyclic, which one
+compare of the edge and vertex counts decides), no two edges share a pair
+of vertices, and the system is solved exactly by a leaf-first elimination
+over the edges, one (r-1) x (r-1) block per edge, in O(n r^2); the edge
+order is built once per run, at the switch.  Elsewhere one conjugate
+gradient solve runs; the iterate is fixed for the whole solve, so the
+Jacobian's x-only work (the gather, the prefix and suffix products and the
+diagonal) is done once per step, not once per conjugate gradient product.
+A segment whose upper side is below the best lower side can no
 longer move the run's bracket; it is frozen for the step (its entries stay,
 and its stale bracket still holds), since its block, long converged, is
 nearly singular and would spoil the step for all.  Every
@@ -71,6 +80,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import asdict, dataclass, field
+from itertools import combinations
 
 import numpy as np
 
@@ -248,27 +258,140 @@ def _split(T: TensorOperator) -> tuple[TensorOperator, np.ndarray | None, _Segme
     return TensorOperator(T.kind, hypergraph=sub), vertices, segments
 
 
+def _elimination_order(T: TensorOperator, segs: _Segments) -> np.ndarray | None:
+    """The edges of a split hypergraph operator T in leaf-first order, or
+    None unless every segment is a hypertree (Berge-acyclic).
+
+    A connected r-uniform hypergraph with n vertices and m edges has
+    m (r-1) >= n - 1, with equality exactly when it is a hypertree; every
+    segment of T is one connected component, so one compare over all of
+    them decides.  Each segment is searched breadth first from its first
+    vertex, and every edge gets as its parent the vertex it is reached
+    from.  Returns an (m, r) array with a row per edge, the other vertices
+    in ascending order and the parent last, in the reverse order of the
+    search, so that every edge comes after all edges below it.
+    """
+    edges = T.hypergraph.edge_array
+    m, r = edges.shape
+    if m * (r - 1) != T.dim - len(segs.starts):
+        return None
+    flat = edges.ravel()
+    # the edges at each vertex, vertex by vertex
+    incidence = (np.argsort(flat, kind="stable") // r).tolist()
+    ends = [0, *np.cumsum(np.bincount(flat, minlength=T.dim)).tolist()]
+    rows = edges.tolist()
+    reached = bytearray(m)
+    order = []
+    # the queue grows while it is read; in a hypertree every vertex but
+    # the first of its segment is reached through exactly one edge
+    queue = segs.starts.tolist()
+    for v in queue:
+        for e in incidence[ends[v]:ends[v + 1]]:
+            if not reached[e]:
+                reached[e] = 1
+                below = [u for u in rows[e] if u != v]
+                order.append([*below, v])
+                queue.extend(below)
+    return np.array(order[::-1], dtype=np.intp).reshape(m, r)
+
+
+def _eliminate(order: np.ndarray, roots: np.ndarray, x: np.ndarray, diagonal: np.ndarray,
+               b: np.ndarray, frozen: np.ndarray) -> np.ndarray | None:
+    """The solution w of ``M w = b`` by leaf-first elimination, with
+    ``order`` from :func:`_elimination_order` and ``roots`` the first vertex
+    of every segment.
+
+    M has the given diagonal and, for vertices i != j of an edge, the entry
+    -(the product of x over the rest of the edge): on a hypertree that is
+    diag(diagonal) minus the off-diagonal of the Jacobian J(x), as no two
+    edges share a pair.  Each edge, leaf first, takes its r x r block of M
+    with the right-hand side beside it, the diagonal and the right-hand
+    side as updated so far, and eliminates the r - 1 vertices below its
+    parent, which leaves their Schur complement in the parent's diagonal
+    and right-hand side.  Then the roots are solved, and each edge, root
+    first, back-substitutes.  No fill-in arises.  Edges whose parent is in
+    the ``frozen`` mask, and frozen roots, are skipped, so those vertices get
+    0.  None at a pivot that is not positive and finite, as M is then not
+    positive definite.
+    """
+    r = order.shape[1]
+    k = r - 1
+    live = order[~frozen[order[:, k]]]
+    # the blocks, one (r, r + 1) row block per live edge, with the diagonal
+    # and the right-hand side column left to the loop
+    blocks = np.zeros((len(live), r, r + 1))
+    gathered = x[live]
+    for s, t in combinations(range(r), 2):
+        rest = [c for c in range(r) if c not in (s, t)]
+        blocks[:, s, t] = blocks[:, t, s] = -np.prod(gathered[:, rest], axis=1)
+    d = diagonal.tolist()
+    rhs = b.tolist()
+    vertices = live.tolist()
+    # the eliminated blocks, leaf first
+    eliminated = blocks.tolist()
+    for vs, a in zip(vertices, eliminated):
+        for i, v in enumerate(vs):
+            a[i][i] = d[v]
+            a[i][r] = rhs[v]
+        for i in range(k):
+            ai = a[i]
+            pivot = ai[i]
+            if not 0.0 < pivot < math.inf:
+                return None
+            for j in range(i + 1, r):
+                aj = a[j]
+                f = aj[i] / pivot
+                for c in range(i + 1, r + 1):
+                    aj[c] -= f * ai[c]
+        d[vs[k]] = a[k][k]
+        rhs[vs[k]] = a[k][r]
+    w = [0.0] * len(d)
+    for root in roots[~frozen[roots]].tolist():
+        if not 0.0 < d[root] < math.inf:
+            return None
+        w[root] = rhs[root] / d[root]
+    for vs, a in zip(reversed(vertices), reversed(eliminated)):
+        for i in reversed(range(k)):
+            ai = a[i]
+            t = ai[r]
+            for c in range(i + 1, r):
+                t -= ai[c] * w[vs[c]]
+            w[vs[i]] = t / ai[i]
+    return np.array(w)
+
+
 def _newton_noda_step(T: TensorOperator, segs: _Segments, x: np.ndarray, lam: np.ndarray,
-                      xp: np.ndarray, frozen: np.ndarray):
+                      xp: np.ndarray, frozen: np.ndarray, order: np.ndarray | None):
     """One Newton-Noda step (Liu, Guo & Lin, Numer. Math. 2017) from x > 0.
 
     With lam the upper ratio bound of each vertex's segment,
     M = (r-1) diag(lam x^(r-2)) - J(x) is a symmetric M-matrix, block
     diagonal over the segments, and nonsingular while lam > rho on every
-    block, so ``M w = x^[r-1]`` has a positive solution; one conjugate
-    gradient solve covers all blocks, with J(x) built once for it.
-    Vertices in the ``frozen`` mask keep their entries: their right-hand
-    side is 0, so the solve leaves them at 0 and never reads their block.
-    Returns the next iterate before normalization, or None when the
-    computed w is not finite and strictly positive on the vertices that
-    move.
+    block, so ``M w = x^[r-1]`` has a positive solution.  On hypertrees,
+    when ``order`` is the leaf-first edge order of
+    :func:`_elimination_order`, :func:`_eliminate` solves it exactly;
+    otherwise one conjugate gradient solve covers all blocks, with J(x)
+    built once for it.  Vertices in the ``frozen`` mask keep their entries:
+    their right-hand side is 0, so either solve leaves them at 0, and the
+    elimination never reads their block.  Returns the next iterate before
+    normalization, or None when the elimination meets a pivot that is not
+    positive and finite, or when the computed w is not finite and strictly
+    positive on the vertices that move.
     """
     r = T.order
     scale = (r - 1) * lam * x ** (r - 2)
     if not np.all(scale > 0):
         return None
     rhs = np.where(frozen, 0.0, xp)
-    w = _conjugate_gradient(T.jacobian(x), scale, rhs)
+    if order is None:
+        w = _conjugate_gradient(T.jacobian(x), scale, rhs)
+    else:
+        # the signless Laplacian's Jacobian adds (r-1) d x^(r-2) on the
+        # diagonal, which M takes off
+        diagonal = scale if T.kind == ADJACENCY else (r - 1) * (lam - T._deg) * x ** (r - 2)
+        w = _eliminate(order, segs.starts, x, diagonal, rhs, frozen)
+        if w is None:
+            return None
     # x itself stands in for w, so that every segment sum is positive
     w[frozen] = x[frozen]
     if not (np.all(np.isfinite(w)) and np.all(w > 0)):
@@ -394,13 +517,17 @@ def _iterate(T: TensorOperator, segs: _Segments, tolerance: float, max_iteration
     n = T.dim
     # x^[r-1], then scratch once the step has read it
     xp = np.empty(n)
+    # normalized only once the first ratios are read: for a hypergraph kind
+    # every product of the first apply is then 1 and every vertex sum an
+    # integer, so they are exact
     x = np.ones(n)
-    segs.normalize(x, xp)
     # Newton-Noda state: stall checks run until one switches newton on; it
     # stays on until a step gives no positive w or the gap stops shrinking
-    # (at rounding level), and then the power iteration finishes the run
+    # (at rounding level), and then the power iteration finishes the run.
+    # The switch builds the leaf-first edge order, None off hypertrees
     may_switch = T.kind in HYPERGRAPH_KINDS
     newton = False
+    order = None
     checked_gap = newton_gap = float("inf")
     # the signless Laplacian's degree diagonal, moved into the step's
     # denominator; None keeps the plain power step
@@ -431,6 +558,10 @@ def _iterate(T: TensorOperator, segs: _Segments, tolerance: float, max_iteration
             lo, hi = segs.brackets(work)
             lam_lo, lam_hi = lo.max(), hi.max()
             gap = lam_hi - lam_lo
+        if it == 1:
+            # the ratios are homogeneous in x, so this changes none of them;
+            # the mixing's history compares normalized iterates only
+            segs.normalize(x, work)
         if not math.isfinite(gap):
             if accepted is None:
                 return x, lo, hi, it, False
@@ -453,6 +584,8 @@ def _iterate(T: TensorOperator, segs: _Segments, tolerance: float, max_iteration
             newton = gap > 0.5 * checked_gap
             may_switch = not newton
             checked_gap = gap
+            if newton:
+                order = _elimination_order(T, segs)
         if newton:
             step = None
             if gap < newton_gap:
@@ -460,7 +593,8 @@ def _iterate(T: TensorOperator, segs: _Segments, tolerance: float, max_iteration
                 # no longer moves the bracket, and its stale bracket still
                 # holds; near convergence its M block is nearly singular
                 frozen = segs.spread(hi < lam_lo)
-                step = _newton_noda_step(T, segs, x, segs.spread(hi) - SHIFT, xp, frozen)
+                step = _newton_noda_step(T, segs, x, segs.spread(hi) - SHIFT, xp, frozen,
+                                         order)
             newton_gap = gap
             if step is not None:
                 segs.normalize(step, xp)
@@ -534,9 +668,11 @@ def _outward(side: float, margin: float, away: float) -> float:
 def power_iterate(T: TensorOperator, cfg: SolverConfig | None = None) -> EigenPair:
     """Solve for the spectral radius of a nonnegative operator.
 
-    One run from the normalized all-ones vector: the positive eigenvector
-    of a weakly irreducible operator is unique and the shifted step
-    converges from any positive start, so no other start is tried.  The
+    One run from the all-ones vector, normalized only once its ratios are
+    read, so that they are exact (a regular hypergraph's bracket closes on
+    them at its radius): the positive eigenvector of a weakly irreducible
+    operator is unique and the shifted step converges from any positive
+    start, so no other start is tried.  The
     bracket carries a rounding margin (see the module docstring), so it
     encloses the spectral radius; a returned iterate with a subnormal entry
     of x^[r-1], where the margin does not hold, gives ``converged=False``.

@@ -38,6 +38,9 @@ ADDRESS_SPACE_LIMIT = 4 << 30
 FILES = {
     "path3_2.hg": "5 3\n1 2 3\n3 4 5\n",
     "path3_30.hg": "61 3\n" + "".join(f"{2 * k + 1} {2 * k + 2} {2 * k + 3}\n" for k in range(30)),
+    # loose_path(3, 50) with the edge {1, 3, 5} (0-based), which closes a cycle
+    "path3_50_cycle.hg": "101 3\n" + "".join(f"{2 * k + 1} {2 * k + 2} {2 * k + 3}\n"
+                                             for k in range(50)) + "2 4 6\n",
     "disjoint.hg": "7 3\n1 2 3\n4 5 6\n",
     "dup.hg": "4 3\n1 2 3\n3 2 1\n2 3 4\n",
     "r62.hg": f"3 {2**62}\n",
@@ -88,6 +91,12 @@ EDGE_CASES = [
     "bound --gen complete:70,3 --json",
     "bound --gen random:10,4,8,3 --json",
     "spectrum --gen complete:5,3",
+    # the Newton-Noda finish: by elimination on a hypertree, by conjugate
+    # gradient off one
+    "spectrum --gen loose_path:3,1000 --json",
+    "spectrum --gen loose_path:3,1000 --kind q --json",
+    "spectrum --in {f}/path3_50_cycle.hg --json",
+    "spectrum --in {f}/path3_50_cycle.hg --kind q --json",
     "spectrum --gen loose_path:3,3 --kind q --json",
     "spectrum --in {f}/disjoint.hg --json",
     "spectrum --in {f}/dup.hg",

@@ -82,9 +82,33 @@ def test_long_loose_path_converges_quickly(r, length, kind):
         assert pair.value >= q_degree_bound(H)
 
 
+def _plus(H, *extra):
+    """H with the edges ``extra`` added."""
+    return UniformHypergraph(H.n, H.r, H.edges + extra)
+
+
 def test_newton_noda_fallback_to_power_iteration(monkeypatch):
-    # a Jacobian that makes M negative definite leaves w = 0, which is not
-    # positive, so the solve must finish by power iteration alone
+    # an elimination that leaves w = 0, which is not positive, so the solve
+    # must finish by power iteration alone
+    calls = []
+
+    def broken(order, roots, x, diagonal, b, frozen):
+        calls.append(1)
+        return np.zeros_like(x)
+
+    monkeypatch.setattr(solver, "_eliminate", broken)
+    pair = spectral_radius(loose_path(3, 50), "adjacency")
+    assert calls
+    assert pair.converged
+    assert pair.lower <= rho_loose_path(3, 50) <= pair.upper
+    assert pair.iterations > 1000
+
+
+def test_newton_noda_fallback_to_power_iteration_off_hypertrees(monkeypatch):
+    # the edge {1, 3, 5} closes a cycle, so the step solves by conjugate
+    # gradient; a Jacobian that makes M negative definite leaves w = 0
+    H = _plus(loose_path(3, 50), (1, 3, 5))
+    rho = spectral_radius(H, "adjacency").value
     calls = []
 
     def broken(self, x):
@@ -95,11 +119,10 @@ def test_newton_noda_fallback_to_power_iteration(monkeypatch):
         return product
 
     monkeypatch.setattr(TensorOperator, "jacobian", broken)
-    pair = spectral_radius(loose_path(3, 50), "adjacency")
+    pair = spectral_radius(H, "adjacency")
     assert calls
     assert pair.converged
-    assert pair.lower <= rho_loose_path(3, 50) <= pair.upper
-    assert pair.iterations > 1000
+    assert pair.lower <= rho <= pair.upper
 
 
 def test_newton_noda_hands_back_at_rounding_level(monkeypatch):
@@ -123,7 +146,8 @@ def test_newton_noda_hands_back_at_rounding_level(monkeypatch):
 
 def test_newton_noda_builds_the_jacobian_once_per_step(monkeypatch):
     # the prefix and suffix products of x are computed once per step, not
-    # once per conjugate gradient product
+    # once per conjugate gradient product; the edge {1, 3, 5} closes a
+    # cycle, so the steps solve by conjugate gradient
     steps, builds = [], []
     real_step = solver._newton_noda_step
     real_prefix_suffix = TensorOperator._prefix_suffix
@@ -138,10 +162,117 @@ def test_newton_noda_builds_the_jacobian_once_per_step(monkeypatch):
 
     monkeypatch.setattr(solver, "_newton_noda_step", counted_step)
     monkeypatch.setattr(TensorOperator, "_prefix_suffix", staticmethod(counted_prefix_suffix))
-    pair = spectral_radius(loose_path(3, 60), "q")
+    pair = spectral_radius(_plus(loose_path(3, 60), (1, 3, 5)), "q")
     assert pair.converged
     assert steps
     assert len(builds) == len(steps)
+
+
+def _moved_tight_cycle(n):
+    """The 3-uniform tight cycle {k, k+1, k+2 mod n} with {0, 1, 2} moved to
+    {0, 1, 3} and {5, 6, 7} to {5, 6, 9}."""
+    edges = [(k, (k + 1) % n, (k + 2) % n) for k in range(n)]
+    edges[0], edges[5] = (0, 1, 3), (5, 6, 9)
+    return UniformHypergraph(n, 3, edges)
+
+
+def _order(H, kind="adjacency"):
+    S, _, segs = solver._split(TensorOperator(kind, hypergraph=H))
+    return solver._elimination_order(S, segs)
+
+
+def test_elimination_order_only_on_hypertrees():
+    assert _order(loose_path(3, 50)) is not None
+    for H in (
+        _plus(loose_path(3, 50), (1, 3, 5)),
+        # an edge sharing two vertices with another
+        _plus(loose_path(3, 50), (0, 1, 3)),
+        _moved_tight_cycle(60),
+    ):
+        assert _order(H) is None
+
+
+@st.composite
+def _hyperforests(draw):
+    """Linear hyperforests: trees grown an edge at a time, each new edge
+    meeting the tree in one vertex, beside isolated vertices, with the
+    vertices shuffled."""
+    r = draw(st.integers(2, 6))
+    edges, n = [], 0
+    for _ in range(draw(st.integers(1, 3))):
+        first = n
+        n += 1
+        for _ in range(draw(st.integers(1, 6))):
+            at = draw(st.integers(first, n - 1))
+            edges.append([at, *range(n, n + r - 1)])
+            n += r - 1
+    n += draw(st.integers(0, 3))
+    relabel = np.array(draw(st.permutations(range(n))))
+    return UniformHypergraph(n, r, relabel[np.array(edges)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(_hyperforests(), st.sampled_from(["adjacency", "q"]), st.integers(0, 2**32 - 1))
+def test_elimination_matches_a_dense_solve(H, kind, seed):
+    S, _, segs = solver._split(TensorOperator(kind, hypergraph=H))
+    order = solver._elimination_order(S, segs)
+    assert order is not None
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(0.2, 2.0, S.dim)
+    J = np.column_stack([S.jacobian(x)(e) for e in np.eye(S.dim)])
+    # a diagonally dominant M = diag(scale) - J, with some segments frozen:
+    # their right-hand side is 0, so the dense solve gives them 0 too
+    scale = np.abs(J).sum(axis=1) + rng.uniform(0.1, 1.0, S.dim)
+    M = np.diag(scale) - J
+    frozen = segs.spread(rng.random(len(segs.starts)) < 0.3)
+    b = np.where(frozen, 0.0, rng.uniform(0.1, 1.0, S.dim))
+    w = solver._eliminate(order, segs.starts, x, np.diag(M).copy(), b, frozen)
+    expected = np.linalg.solve(M, b)
+    assert np.abs(w - expected).max() <= 1e-10 * max(1.0, np.abs(expected).max())
+    assert not np.any(w[frozen])
+
+
+def test_elimination_refuses_a_matrix_that_is_not_positive_definite():
+    H = loose_path(3, 5)
+    S, _, segs = solver._split(TensorOperator("adjacency", hypergraph=H))
+    order = solver._elimination_order(S, segs)
+    x = np.ones(S.dim)
+    frozen = np.zeros(S.dim, dtype=bool)
+    for diagonal in (np.full(S.dim, 0.5), np.full(S.dim, np.nan)):
+        assert solver._eliminate(order, segs.starts, x, diagonal, x, frozen) is None
+
+
+@pytest.mark.parametrize("kind", ["adjacency", "q"])
+def test_newton_noda_on_hypertrees_never_runs_conjugate_gradient(monkeypatch, kind):
+    steps = []
+    real_step = solver._newton_noda_step
+
+    def counted(*args):
+        steps.append(1)
+        return real_step(*args)
+
+    def refused(*args):
+        raise AssertionError("conjugate gradient on a hypertree")
+
+    monkeypatch.setattr(solver, "_newton_noda_step", counted)
+    monkeypatch.setattr(solver, "_conjugate_gradient", refused)
+    pair = spectral_radius(loose_path(3, 400), kind)
+    assert pair.converged
+    assert steps
+
+
+@pytest.mark.parametrize("kind", ["adjacency", "q"])
+def test_very_long_loose_path_converges(kind):
+    H = loose_path(3, 3000)
+    pair = spectral_radius(H, kind)
+    assert pair.converged
+    assert pair.iterations < 400
+    if kind == "adjacency":
+        rho = oracles.loose_path_radius(3, 3000)
+        assert mpmath.mpf(pair.lower) <= rho <= mpmath.mpf(pair.upper)
+    else:
+        assert oracles.perron_vector_check(H, pair, "signless-laplacian")
+        assert pair.value >= q_degree_bound(H)
 
 
 def test_distinct_index_tensor_radius():
