@@ -56,23 +56,22 @@ The power iteration (Ng, Qi & Zhou 2009) contracts slowly when the spectral
 gap is small, as on long loose paths.  For hypergraph operators the bracket
 gap is checked every ``STALL_WINDOW`` iterations; if it shrank by less than
 half, the run switches to Newton-Noda steps (Liu, Guo & Lin 2017), which
-converge in a handful of steps.  Each vertex's lam is its segment's upper
-side, so the Jacobian system is block diagonal and one solve covers every
-segment.  When every segment is a hypertree (Berge-acyclic, which one
-compare of the edge and vertex counts decides), no two edges share a pair
-of vertices, and the system is solved exactly by a leaf-first elimination
-over the edges, one (r-1) x (r-1) block per edge, in O(n r^2); the edge
-order is built once per run, at the switch.  Elsewhere one conjugate
-gradient solve runs; the iterate is fixed for the whole solve, so the
-Jacobian's x-only work (the gather, the prefix and suffix products and the
-diagonal) is done once per step, not once per conjugate gradient product.
-A segment whose upper side is below the best lower side can no
-longer move the run's bracket; it is frozen for the step (its entries stay,
-and its stale bracket still holds), since its block, long converged, is
-nearly singular and would spoil the step for all.  Every
-step, of either kind, counts as one iteration, and the bracket always comes
-from the ratios at the iterate.  A Newton-Noda step clears the mixing's
-history and is not checked against the upper side.
+converge in a handful of steps.  Each step builds its matrix M once: the
+diagonal D and, per edge and pair of its slots, the product of x over the
+rest of the edge.  Each vertex's lam is its segment's upper side, so M is
+block diagonal and one solve covers every segment.  When every segment is a
+hypertree (Berge-acyclic, which one compare of the edge and vertex counts
+decides), no two edges share a pair of vertices, and the system is solved
+exactly by a leaf-first elimination over the edges, one (r-1) x (r-1) block
+per edge, in O(n r^2); the edge order is built once per run, at the switch.
+Elsewhere one conjugate gradient solve runs, preconditioned by D, each of
+its products with M about the cost of one apply.  A segment whose upper
+side is below the best lower side can no longer move the run's bracket; it
+is frozen for the step (its entries stay, and its stale bracket still
+holds), since its block, long converged, is nearly singular and would spoil
+the step for all.  Every step, of either kind, counts as one iteration, and
+the bracket always comes from the ratios at the iterate.  A Newton-Noda
+step clears the mixing's history and is not checked against the upper side.
 """
 
 from __future__ import annotations
@@ -84,7 +83,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .hypergraph import UniformHypergraph
+from .hypergraph import UniformHypergraph, _as_int
 from .tensors import (
     ADJACENCY,
     DENSE,
@@ -124,6 +123,9 @@ class SolverConfig:
     max_iterations: int = DEFAULT_MAX_ITERATIONS
 
     def __post_init__(self) -> None:
+        self.max_iterations = _as_int(self.max_iterations)
+        if isinstance(self.tolerance, (bool, np.bool_)):
+            raise ValueError(f"tolerance must be a number, got {self.tolerance!r}")
         if not math.isfinite(self.tolerance):
             raise ValueError(f"tolerance must be finite, got {self.tolerance}")
         if self.tolerance <= 0:
@@ -158,25 +160,22 @@ class EigenPair:
         }
 
 
-def _conjugate_gradient(jacobian, scale: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _conjugate_gradient(product, diagonal: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Conjugate gradient for the symmetric positive definite system
-    ``(diag(scale) - J) w = b``, with ``jacobian`` the product ``v -> J v``
-    built once for the solve, preconditioned by the positive diagonal
-    ``scale``, stopped at relative residual ``CG_RTOL`` or after ``len(b)``
-    steps, whichever comes first.  The vectors are allocated once and
-    updated in place."""
+    ``M w = b``, with ``product`` the product ``v -> M v`` and ``diagonal``
+    M's positive diagonal, the preconditioner, stopped at relative residual
+    ``CG_RTOL`` or after ``len(b)`` steps, whichever comes first.  The
+    vectors are allocated once and updated in place."""
     x = np.zeros_like(b)
     res = b.copy()
-    z = res / scale
+    z = res / diagonal
     p = z.copy()
     work = np.empty_like(b)
     rz = float(res @ z)
     # math.sqrt(v @ v) is np.linalg.norm(v) for a 1-D float array
     stop = CG_RTOL * math.sqrt(b @ b)
     for _ in range(len(b)):
-        q = jacobian(p)
-        np.multiply(scale, p, out=work)
-        np.subtract(work, q, out=q)
+        q = product(p)
         pq = float(p @ q)
         if not pq > 0.0:
             break
@@ -187,12 +186,49 @@ def _conjugate_gradient(jacobian, scale: np.ndarray, b: np.ndarray) -> np.ndarra
         res -= q
         if math.sqrt(res @ res) <= stop:
             break
-        np.divide(res, scale, out=z)
+        np.divide(res, diagonal, out=z)
         rz_next = float(res @ z)
         p *= rz_next / rz
         p += z
         rz = rz_next
     return x
+
+
+def _pair_products(slots: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """For slot-major edges ``slots`` (r, m) and each pair s < t of slots,
+    in ``combinations`` order, the product of x over the other slots of
+    every edge, multiplied left to right: the off-diagonal entries of the
+    Jacobian, one row of a (C(r, 2), m) array per pair, all ones for r = 2."""
+    r = len(slots)
+    gathered = x[slots]
+    pairs = np.empty((math.comb(r, 2), slots.shape[1]))
+    for k, (s, t) in enumerate(combinations(range(r), 2)):
+        np.prod(gathered[[c for c in range(r) if c not in (s, t)]], axis=0, out=pairs[k])
+    return pairs
+
+
+def _matrix_product(T: TensorOperator, x: np.ndarray, diagonal: np.ndarray):
+    """The product ``v -> M v``, M the given diagonal less the off-diagonal
+    of the Jacobian J(x) of a hypergraph operator T.  The pair products are
+    built once, here; each product gathers v, forms every slot's term with
+    2 C(r, 2) multiply-adds and sums them per vertex, in work rows allocated
+    once (so not from two threads at once), and returns a new array."""
+    # the writeable base, as np.take copies a read-only index array
+    slots = T._slots.base
+    pairs = _pair_products(slots, x)
+    gathered, terms = np.empty((2, *slots.shape))
+    work = np.empty(slots.shape[1])
+
+    def product(v: np.ndarray) -> np.ndarray:
+        # every slot holds a vertex of 0..n-1, so no index is clipped
+        v.take(slots, out=gathered, mode="clip")
+        terms.fill(0.0)
+        for (s, t), row in zip(combinations(range(T.order), 2), pairs):
+            terms[s] += np.multiply(row, gathered[t], out=work)
+            terms[t] += np.multiply(row, gathered[s], out=work)
+        return diagonal * v - T._edge_sum(terms)
+
+    return product
 
 
 @dataclass
@@ -302,17 +338,17 @@ def _eliminate(order: np.ndarray, roots: np.ndarray, x: np.ndarray, diagonal: np
     of every segment.
 
     M has the given diagonal and, for vertices i != j of an edge, the entry
-    -(the product of x over the rest of the edge): on a hypertree that is
-    diag(diagonal) minus the off-diagonal of the Jacobian J(x), as no two
-    edges share a pair.  Each edge, leaf first, takes its r x r block of M
-    with the right-hand side beside it, the diagonal and the right-hand
-    side as updated so far, and eliminates the r - 1 vertices below its
-    parent, which leaves their Schur complement in the parent's diagonal
-    and right-hand side.  Then the roots are solved, and each edge, root
-    first, back-substitutes.  No fill-in arises.  Edges whose parent is in
-    the ``frozen`` mask, and frozen roots, are skipped, so those vertices get
-    0.  None at a pivot that is not positive and finite, as M is then not
-    positive definite.
+    -(the product of x over the rest of the edge), by :func:`_pair_products`:
+    on a hypertree that is diag(diagonal) minus the off-diagonal of the
+    Jacobian J(x), as no two edges share a pair.  Each edge, leaf first,
+    takes its r x r block of M with the right-hand side beside it, the
+    diagonal and the right-hand side as updated so far, and eliminates the
+    r - 1 vertices below its parent, which leaves their Schur complement in
+    the parent's diagonal and right-hand side.  Then the roots are solved,
+    and each edge, root first, back-substitutes.  No fill-in arises.  Edges
+    whose parent is in the ``frozen`` mask, and frozen roots, are skipped,
+    so those vertices get 0.  None at a pivot that is not positive and
+    finite, as M is then not positive definite.
     """
     r = order.shape[1]
     k = r - 1
@@ -320,10 +356,9 @@ def _eliminate(order: np.ndarray, roots: np.ndarray, x: np.ndarray, diagonal: np
     # the blocks, one (r, r + 1) row block per live edge, with the diagonal
     # and the right-hand side column left to the loop
     blocks = np.zeros((len(live), r, r + 1))
-    gathered = x[live]
-    for s, t in combinations(range(r), 2):
-        rest = [c for c in range(r) if c not in (s, t)]
-        blocks[:, s, t] = blocks[:, t, s] = -np.prod(gathered[:, rest], axis=1)
+    pairs = _pair_products(live.T, x)
+    for (s, t), products in zip(combinations(range(r), 2), pairs):
+        blocks[:, s, t] = blocks[:, t, s] = -products
     d = diagonal.tolist()
     rhs = b.tolist()
     vertices = live.tolist()
@@ -360,18 +395,20 @@ def _eliminate(order: np.ndarray, roots: np.ndarray, x: np.ndarray, diagonal: np
     return np.array(w)
 
 
-def _newton_noda_step(T: TensorOperator, segs: _Segments, x: np.ndarray, lam: np.ndarray,
+def _newton_noda_step(T: TensorOperator, segs: _Segments, x: np.ndarray, excess: np.ndarray,
                       xp: np.ndarray, frozen: np.ndarray, order: np.ndarray | None):
     """One Newton-Noda step (Liu, Guo & Lin, Numer. Math. 2017) from x > 0.
 
     With lam the upper ratio bound of each vertex's segment,
     M = (r-1) diag(lam x^(r-2)) - J(x) is a symmetric M-matrix, block
     diagonal over the segments, and nonsingular while lam > rho on every
-    block, so ``M w = x^[r-1]`` has a positive solution.  On hypertrees,
-    when ``order`` is the leaf-first edge order of
+    block, so ``M w = x^[r-1]`` has a positive solution.  Its diagonal is
+    D = (r-1) excess x^(r-2), ``excess`` being lam less the signless
+    Laplacian's degree d, as its J(x) holds (r-1) d x^(r-2) there.  On
+    hypertrees, when ``order`` is the leaf-first edge order of
     :func:`_elimination_order`, :func:`_eliminate` solves it exactly;
-    otherwise one conjugate gradient solve covers all blocks, with J(x)
-    built once for it.  Vertices in the ``frozen`` mask keep their entries:
+    otherwise one conjugate gradient solve, preconditioned by D, covers all
+    blocks.  Vertices in the ``frozen`` mask keep their entries:
     their right-hand side is 0, so either solve leaves them at 0, and the
     elimination never reads their block.  Returns the next iterate before
     normalization, or None when the elimination meets a pivot that is not
@@ -379,19 +416,14 @@ def _newton_noda_step(T: TensorOperator, segs: _Segments, x: np.ndarray, lam: np
     positive on the vertices that move.
     """
     r = T.order
-    scale = (r - 1) * lam * x ** (r - 2)
-    if not np.all(scale > 0):
+    diagonal = (r - 1) * excess * x ** (r - 2)
+    if not np.all(diagonal > 0):
         return None
     rhs = np.where(frozen, 0.0, xp)
-    if order is None:
-        w = _conjugate_gradient(T.jacobian(x), scale, rhs)
-    else:
-        # the signless Laplacian's Jacobian adds (r-1) d x^(r-2) on the
-        # diagonal, which M takes off
-        diagonal = scale if T.kind == ADJACENCY else (r - 1) * (lam - T._deg) * x ** (r - 2)
-        w = _eliminate(order, segs.starts, x, diagonal, rhs, frozen)
-        if w is None:
-            return None
+    w = (_conjugate_gradient(_matrix_product(T, x, diagonal), diagonal, rhs) if order is None
+         else _eliminate(order, segs.starts, x, diagonal, rhs, frozen))
+    if w is None:
+        return None
     # x itself stands in for w, so that every segment sum is positive
     w[frozen] = x[frozen]
     if not (np.all(np.isfinite(w)) and np.all(w > 0)):
@@ -529,8 +561,9 @@ def _iterate(T: TensorOperator, segs: _Segments, tolerance: float, max_iteration
     newton = False
     order = None
     checked_gap = newton_gap = float("inf")
-    # the signless Laplacian's degree diagonal, moved into the step's
-    # denominator; None keeps the plain power step
+    # the signless Laplacian's degree diagonal, moved into the power step's
+    # denominator and taken off the Newton-Noda diagonal; None keeps the
+    # plain power step
     deg = T._deg if T.kind == SIGNLESS_LAPLACIAN else None
     apply_work = T.workspace()
     mix = _Anderson(n)
@@ -593,8 +626,9 @@ def _iterate(T: TensorOperator, segs: _Segments, tolerance: float, max_iteration
                 # no longer moves the bracket, and its stale bracket still
                 # holds; near convergence its M block is nearly singular
                 frozen = segs.spread(hi < lam_lo)
-                step = _newton_noda_step(T, segs, x, segs.spread(hi) - SHIFT, xp, frozen,
-                                         order)
+                lam = segs.spread(hi) - SHIFT
+                excess = lam if deg is None else lam - deg
+                step = _newton_noda_step(T, segs, x, excess, xp, frozen, order)
             newton_gap = gap
             if step is not None:
                 segs.normalize(step, xp)

@@ -3,13 +3,13 @@
 The adjacency entry convention puts 1/(r-1)! on every index permutation of
 an edge, so the apply reduces to one leave-one-out product per (edge,
 vertex) pair and the all-ones apply reproduces the degree vector.  Dense
-storage is reserved for small dimensions (``DENSE_DIM_CAP``, 12).
+storage is reserved for small dimensions (``DENSE_DIM_CAP``, 12).  The
+operators only apply; the solver builds its Newton-Noda matrix itself.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
 from itertools import permutations
 
 import numpy as np
@@ -169,26 +169,6 @@ class TensorOperator:
                            minlength=self.dim)
         return sums.astype(float, copy=False)
 
-    @staticmethod
-    def _prefix_suffix(gathered: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """For a slot-major (r, m) gather, the products of each edge's
-        entries in the slots before (``lo``) and after (``hi``) each slot.
-
-        Built one slot row at a time, multiplying in the order of a running
-        product (left to right for ``lo``, right to left for ``hi``), so every
-        entry rounds exactly as a cumulative product would round it.
-        """
-        lo = np.empty_like(gathered)
-        hi = np.empty_like(gathered)
-        r = gathered.shape[0]
-        lo[0] = 1.0
-        hi[r - 1] = 1.0
-        for p in range(1, r):
-            np.multiply(lo[p - 1], gathered[p - 1], out=lo[p])
-            q = r - 1 - p
-            np.multiply(hi[q + 1], gathered[q + 1], out=hi[q])
-        return lo, hi
-
     def workspace(self) -> np.ndarray | None:
         """Work rows for :meth:`apply`, to be passed to every call of a loop
         so that the loop allocates them once: the gather of x and the
@@ -206,9 +186,8 @@ class TensorOperator:
         x.take(self._slots.base, out=g, mode="clip")
         # The leave-one-out products, in place in one buffer: the prefix
         # products left to right, then a running suffix product multiplied
-        # in right to left.  These are _prefix_suffix's multiplications in
-        # its order, less the exact ones by 1.0, so each entry is lo * hi
-        # bit for bit.
+        # in right to left: each entry is its cumulative prefix times its
+        # cumulative suffix bit for bit, less the exact products by 1.0.
         prod[1] = g[0]
         for p in range(2, r):
             np.multiply(prod[p - 1], g[p - 1], out=prod[p])
@@ -241,71 +220,6 @@ class TensorOperator:
             diagonal *= self._deg
             y += diagonal
         return y
-
-    def jacobian(self, x) -> Callable[[np.ndarray], np.ndarray]:
-        """The Jacobian of ``x -> Tx`` at x, as the product ``v -> J(x) v``.
-
-        For the adjacency kind, entry (i, j) of the Jacobian is the sum, over
-        edges containing both i and j, of the product of x over the rest of
-        the edge; the signless Laplacian adds ``(r-1) d x^(r-2)`` on the
-        diagonal.  The Jacobian is symmetric and, by Euler's identity for
-        homogeneous maps, ``J(x) x = (r-1) Tx``.  No matrix is built: the
-        gather of x, its prefix and suffix products and the diagonal are
-        computed here once, and each product then costs O(m r) time, as one
-        apply, in work rows allocated once, so one product function must not
-        run in two threads at once; the operator itself keeps no state.
-        Every product returns a new array.
-        """
-        if self.kind not in HYPERGRAPH_KINDS:
-            raise ValueError(f"jacobian is not defined for kind {self.kind!r}")
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.dim,):
-            raise ValueError(f"vector dimension {x.shape} does not match {self.dim}")
-        r = self.order
-        slots = self._slots
-        gx = x[slots]
-        lo, hi = self._prefix_suffix(gx)
-        diag = (r - 1) * self._deg * x ** (r - 2) if self.kind == SIGNLESS_LAPLACIAN else None
-        # dlo holds the directional derivatives of the prefix products
-        # (whose row 0 is 0, as is row r-1 of the suffix ones), then each
-        # slot's term
-        dlo = np.empty_like(gx)
-        gv = np.empty_like(gx)
-        tmp = np.empty_like(gx[0])
-
-        def product(v) -> np.ndarray:
-            v = np.asarray(v, dtype=float)
-            if v.shape != (self.dim,):
-                raise ValueError(f"vector dimension {v.shape} does not match {self.dim}")
-            # the apply's gather, into the work rows; no index is clipped
-            v.take(slots.base, out=gv, mode="clip")
-            # The recurrences d(lo)[p] = d(lo)[p-1] gx[p-1] + lo[p-1] gv[p-1]
-            # and its mirror for the suffix, and the terms
-            # d(lo) hi + lo d(hi), less their exact steps: products with
-            # lo[0] = hi[r-1] = 1 and sums with the zero rows.  Each entry
-            # rounds as in the full recurrences, up to the sign of a zero.
-            dlo[1] = gv[0]
-            for p in range(2, r):
-                np.multiply(dlo[p - 1], gx[p - 1], out=dlo[p])
-                np.multiply(lo[p - 1], gv[p - 1], out=tmp)
-                dlo[p] += tmp
-            # a running suffix derivative, in the gather's last row, which
-            # the prefix recurrence does not read
-            run = gv[r - 1]
-            for q in range(r - 2, 0, -1):
-                dlo[q] *= hi[q]
-                np.multiply(lo[q], run, out=tmp)
-                dlo[q] += tmp
-                run *= gx[q]
-                np.multiply(hi[q], gv[q], out=tmp)
-                run += tmp
-            dlo[0] = run
-            out = self._edge_sum(dlo)
-            if diag is not None:
-                out += diag * v
-            return out
-
-        return product
 
 
 def rayleigh(T: TensorOperator, x) -> float:

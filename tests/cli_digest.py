@@ -41,6 +41,8 @@ FILES = {
     # loose_path(3, 50) with the edge {1, 3, 5} (0-based), which closes a cycle
     "path3_50_cycle.hg": "101 3\n" + "".join(f"{2 * k + 1} {2 * k + 2} {2 * k + 3}\n"
                                              for k in range(50)) + "2 4 6\n",
+    # the 3-uniform tight path {k, k+1, k+2} on 200 vertices, not a hypertree
+    "tight3_200.hg": "200 3\n" + "".join(f"{k + 1} {k + 2} {k + 3}\n" for k in range(198)),
     "disjoint.hg": "7 3\n1 2 3\n4 5 6\n",
     "dup.hg": "4 3\n1 2 3\n3 2 1\n2 3 4\n",
     "r62.hg": f"3 {2**62}\n",
@@ -97,6 +99,8 @@ EDGE_CASES = [
     "spectrum --gen loose_path:3,1000 --kind q --json",
     "spectrum --in {f}/path3_50_cycle.hg --json",
     "spectrum --in {f}/path3_50_cycle.hg --kind q --json",
+    "spectrum --in {f}/tight3_200.hg --json",
+    "spectrum --in {f}/tight3_200.hg --kind q --json",
     "spectrum --gen loose_path:3,3 --kind q --json",
     "spectrum --in {f}/disjoint.hg --json",
     "spectrum --in {f}/dup.hg",

@@ -316,26 +316,37 @@ def prefix_suffix_cumprod(gathered):
     return lo, hi
 
 
-def edge_major_terms(H, x, v=None):
+def edge_major_terms(H, x):
     """The per (edge, slot) terms of the adjacency apply at x, in the
-    edge-major (m, r) layout: the product of x over the rest of the edge.
-    With v, the terms of the apply's Jacobian at x applied to v instead: the
-    product rule along each row, on the cumprod prefix and suffix products.
-    Summed per vertex (``np.bincount`` over ``H.edge_array``) they give the
-    apply and the Jacobian apply edge by edge."""
-    gx = np.asarray(x, dtype=float)[H.edge_array]
-    lo, hi = prefix_suffix_cumprod(gx)
-    if v is None:
-        return lo * hi
-    gv = np.asarray(v, dtype=float)[H.edge_array]
-    dlo = np.zeros_like(gx)
-    dhi = np.zeros_like(gx)
-    r = H.r
-    for p in range(1, r):
-        dlo[:, p] = dlo[:, p - 1] * gx[:, p - 1] + lo[:, p - 1] * gv[:, p - 1]
-        q = r - 1 - p
-        dhi[:, q] = dhi[:, q + 1] * gx[:, q + 1] + hi[:, q + 1] * gv[:, q + 1]
-    return dlo * hi + lo * dhi
+    edge-major (m, r) layout: the product of x over the rest of the edge,
+    from the cumprod prefix and suffix products.  Summed per vertex
+    (``np.bincount`` over ``H.edge_array``) they give the apply edge by
+    edge."""
+    lo, hi = prefix_suffix_cumprod(np.asarray(x, dtype=float)[H.edge_array])
+    return lo * hi
+
+
+def jacobian_matrix(H, x, kind):
+    """The dense Jacobian J(x) of the apply ``x -> Tx`` of the adjacency
+    (``"adjacency"``) or signless Laplacian (``"q"``) tensor of H, built
+    edge by edge: each ordered pair of distinct vertices of an edge gets
+    the product of x over the rest of the edge, and Q adds (r-1) d x^(r-2)
+    on the diagonal."""
+    x = np.asarray(x, dtype=float)
+    J = np.zeros((H.n, H.n))
+    for edge in H.edges:
+        for i, j in permutations(edge, 2):
+            J[i, j] += math.prod(x[u] for u in edge if u not in (i, j))
+    if kind == "q":
+        J += np.diag((H.r - 1) * np.asarray(H.degrees(), dtype=float) * x ** (H.r - 2))
+    return J
+
+
+def newton_noda_matrix(H, x, lam, kind):
+    """The dense matrix M = (r-1) diag(lam x^(r-2)) - J(x) of a Newton-Noda
+    step at x, with lam a per-vertex array."""
+    x = np.asarray(x, dtype=float)
+    return np.diag((H.r - 1) * lam * x ** (H.r - 2)) - jacobian_matrix(H, x, kind)
 
 
 def parse_text(text):

@@ -542,15 +542,9 @@ def test_kernel_matches_cumprod_bit_for_bit(r, monkeypatch):
     H = random_hypergraph(10, r, 30, seed=r)
     # entries spanning ten decades
     x = 10.0 ** rng.uniform(-5.0, 5.0, H.n)
-    v = rng.standard_normal(H.n)
-    T = TensorOperator.adjacency(H)
-    # the slot-major prefix and suffix products are the transposed cumprod ones
-    lo, hi = oracles.prefix_suffix_cumprod(x[H.edge_array])
-    got_lo, got_hi = T._prefix_suffix(x[T._slots])
-    assert np.array_equal(got_lo, lo.T)
-    assert np.array_equal(got_hi, hi.T)
     # every per-slot term handed to the vertex sum is the edge-major term bit
-    # for bit: the apply's in-place products are lo * hi
+    # for bit: the apply's in-place products are the cumprod prefix times
+    # the cumprod suffix
     terms = []
     real_sum = TensorOperator._edge_sum
 
@@ -560,12 +554,11 @@ def test_kernel_matches_cumprod_bit_for_bit(r, monkeypatch):
 
     monkeypatch.setattr(TensorOperator, "_edge_sum", recorded)
     ops = [TensorOperator(k, hypergraph=H) for k in ("adjacency", "signless-laplacian")]
-    got = [(op.apply(x), op.jacobian(x)(v)) for op in ops]
-    apply_terms, jacobian_terms = oracles.edge_major_terms(H, x), oracles.edge_major_terms(H, x, v)
-    assert np.array_equal(apply_terms, lo * hi)
-    assert len(terms) == 4
-    for k, want in enumerate([apply_terms, jacobian_terms] * 2):
-        assert np.array_equal(terms[k], want.T)
+    got = [op.apply(x) for op in ops]
+    apply_terms = oracles.edge_major_terms(H, x)
+    assert len(terms) == 2
+    for recorded_terms in terms:
+        assert np.array_equal(recorded_terms, apply_terms.T)
     # Only the order of the vertex sums changed: slot by slot instead of edge
     # by edge.  Two orders of summing the same d terms and then adding the
     # diagonal term differ by at most 2 gamma_d times the sum of the absolute
@@ -573,14 +566,12 @@ def test_kernel_matches_cumprod_bit_for_bit(r, monkeypatch):
     d = H.degree_array
     u = np.finfo(float).eps / 2
     gamma = d * u / (1 - d * u)
-    q_diag = [H.degree_array * x ** (r - 1), (r - 1) * H.degree_array * x ** (r - 2) * v]
-    for kind, (got_apply, got_jacobian) in zip(("adjacency", "signless-laplacian"), got):
-        for want_terms, diag, value in zip((apply_terms, jacobian_terms), q_diag,
-                                           (got_apply, got_jacobian)):
-            extra = diag if kind == "signless-laplacian" else np.zeros(H.n)
-            want = extra + _vertex_sums(H, want_terms)
-            scale = np.abs(extra) + _vertex_sums(H, np.abs(want_terms))
-            assert np.all(np.abs(value - want) <= 2 * gamma * scale)
+    q_diag = H.degree_array * x ** (r - 1)
+    for kind, value in zip(("adjacency", "signless-laplacian"), got):
+        extra = q_diag if kind == "signless-laplacian" else np.zeros(H.n)
+        want = extra + _vertex_sums(H, apply_terms)
+        scale = np.abs(extra) + _vertex_sums(H, np.abs(apply_terms))
+        assert np.all(np.abs(value - want) <= 2 * gamma * scale)
 
 
 def test_bound_labels_components_once(tmp_path, monkeypatch, capsys):

@@ -106,19 +106,19 @@ def test_newton_noda_fallback_to_power_iteration(monkeypatch):
 
 def test_newton_noda_fallback_to_power_iteration_off_hypertrees(monkeypatch):
     # the edge {1, 3, 5} closes a cycle, so the step solves by conjugate
-    # gradient; a Jacobian that makes M negative definite leaves w = 0
+    # gradient; a product with a negative definite M leaves w = 0
     H = _plus(loose_path(3, 50), (1, 3, 5))
     rho = spectral_radius(H, "adjacency").value
     calls = []
 
-    def broken(self, x):
+    def broken(T, x, diagonal):
         def product(v):
             calls.append(1)
-            return 1e6 * np.asarray(v)
+            return -1e6 * np.asarray(v)
 
         return product
 
-    monkeypatch.setattr(TensorOperator, "jacobian", broken)
+    monkeypatch.setattr(solver, "_matrix_product", broken)
     pair = spectral_radius(H, "adjacency")
     assert calls
     assert pair.converged
@@ -145,27 +145,29 @@ def test_newton_noda_hands_back_at_rounding_level(monkeypatch):
 
 
 def test_newton_noda_builds_the_jacobian_once_per_step(monkeypatch):
-    # the prefix and suffix products of x are computed once per step, not
-    # once per conjugate gradient product; the edge {1, 3, 5} closes a
-    # cycle, so the steps solve by conjugate gradient
-    steps, builds = [], []
+    # the pair products of x are computed once per step, not once per
+    # conjugate gradient product.  The edge {1, 3, 5} closes a cycle, so
+    # the steps solve by conjugate gradient; the loose path is a hypertree,
+    # so its steps eliminate
     real_step = solver._newton_noda_step
-    real_prefix_suffix = TensorOperator._prefix_suffix
+    real_pairs = solver._pair_products
+    for H in (_plus(loose_path(3, 60), (1, 3, 5)), loose_path(3, 60)):
+        steps, builds = [], []
 
-    def counted_step(*args):
-        steps.append(1)
-        return real_step(*args)
+        def counted_step(*args):
+            steps.append(1)
+            return real_step(*args)
 
-    def counted_prefix_suffix(gathered):
-        builds.append(1)
-        return real_prefix_suffix(gathered)
+        def counted_pairs(slots, x):
+            builds.append(1)
+            return real_pairs(slots, x)
 
-    monkeypatch.setattr(solver, "_newton_noda_step", counted_step)
-    monkeypatch.setattr(TensorOperator, "_prefix_suffix", staticmethod(counted_prefix_suffix))
-    pair = spectral_radius(_plus(loose_path(3, 60), (1, 3, 5)), "q")
-    assert pair.converged
-    assert steps
-    assert len(builds) == len(steps)
+        monkeypatch.setattr(solver, "_newton_noda_step", counted_step)
+        monkeypatch.setattr(solver, "_pair_products", counted_pairs)
+        pair = spectral_radius(H, "q")
+        assert pair.converged
+        assert steps
+        assert len(builds) == len(steps)
 
 
 def _moved_tight_cycle(n):
@@ -219,7 +221,7 @@ def test_elimination_matches_a_dense_solve(H, kind, seed):
     assert order is not None
     rng = np.random.default_rng(seed)
     x = rng.uniform(0.2, 2.0, S.dim)
-    J = np.column_stack([S.jacobian(x)(e) for e in np.eye(S.dim)])
+    J = oracles.jacobian_matrix(S.hypergraph, x, kind)
     # a diagonally dominant M = diag(scale) - J, with some segments frozen:
     # their right-hand side is 0, so the dense solve gives them 0 too
     scale = np.abs(J).sum(axis=1) + rng.uniform(0.1, 1.0, S.dim)
@@ -242,6 +244,90 @@ def test_elimination_refuses_a_matrix_that_is_not_positive_definite():
         assert solver._eliminate(order, segs.starts, x, diagonal, x, frozen) is None
 
 
+@st.composite
+def _matrix_cases(draw):
+    """(H, x, v1, v2): r = 2..6, up to 9 edges, up to three isolated
+    vertices, a positive x and two vectors of either sign."""
+    r = draw(st.integers(2, 6))
+    n = draw(st.integers(r, r + 3))
+    m = draw(st.integers(1, 9))
+    H = random_hypergraph(n, r, min(m, math.comb(n, r)), draw(st.integers(0, 10**6)))
+    H = UniformHypergraph(n + draw(st.integers(0, 3)), r, H.edge_array)
+    x = np.array(draw(st.lists(st.floats(0.05, 2.0), min_size=H.n, max_size=H.n)))
+    v1, v2 = (np.array(draw(st.lists(st.floats(-2.0, 2.0), min_size=H.n, max_size=H.n)))
+              for _ in range(2))
+    return H, x, v1, v2
+
+
+@settings(max_examples=60, deadline=None)
+@given(_matrix_cases(), st.sampled_from(["adjacency", "q"]), st.floats(0.5, 50.0))
+def test_matrix_product_matches_the_dense_oracle(case, kind, lam):
+    H, x, v1, v2 = case
+    r = H.r
+    J = oracles.jacobian_matrix(H, x, kind)
+    T = TensorOperator(kind, hypergraph=H)
+    # Euler's identity for the degree-(r-1) homogeneous apply holds for the
+    # oracle
+    np.testing.assert_allclose(J @ x, (r - 1) * T.apply(x), rtol=1e-12, atol=1e-12)
+    # lam above every degree, as a Q step's upper side is
+    lam = np.full(H.n, lam + H.degree_array.max())
+    M = oracles.newton_noda_matrix(H, x, lam, kind)
+    d = H.degree_array if kind == "q" else 0
+    diagonal = (r - 1) * (lam - d) * x ** (r - 2)
+    np.testing.assert_allclose(np.diag(M), diagonal, rtol=1e-13)
+    product = solver._matrix_product(T, x, diagonal)
+    first = product(v1)
+    kept = first.copy()
+    second = product(v2)
+    # the product reuses its work rows across calls; no result aliases them
+    assert np.array_equal(first, kept)
+    for v, got in ((v1, first), (v2, second)):
+        np.testing.assert_allclose(got, M @ v, rtol=1e-12, atol=1e-12)
+    # and Euler's identity in M's form: M x = (r-1) (lam x^[r-1] - T x)
+    np.testing.assert_allclose(product(x), (r - 1) * (lam * x ** (r - 1) - T.apply(x)),
+                               rtol=1e-12, atol=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_hyperforests(), st.sampled_from(["adjacency", "q"]), st.integers(0, 2**32 - 1))
+def test_newton_noda_step_solves_the_oracle_system(H, kind, seed):
+    # both inner solves get the oracle's diagonal and matrix: the conjugate
+    # gradient its product, the elimination the hyperforest's edges
+    S, _, segs = solver._split(TensorOperator(kind, hypergraph=H))
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(0.2, 2.0, S.dim)
+    J = oracles.jacobian_matrix(S.hypergraph, x, kind)
+    # a per-segment lam above every row sum keeps M diagonally dominant
+    lam = segs.spread(segs.brackets(J.sum(axis=1) / ((S.order - 1) * x ** (S.order - 2)))[1]
+                      + rng.uniform(0.1, 1.0, len(segs.starts)))
+    M = oracles.newton_noda_matrix(S.hypergraph, x, lam, kind)
+    excess = lam - (S.hypergraph.degree_array if kind == "q" else 0)
+    xp = x ** (S.order - 1)
+    frozen = np.zeros(S.dim, dtype=bool)
+    seen = {}
+
+    def solve_cg(product, diagonal, b):
+        seen["cg"] = diagonal, np.column_stack([product(e) for e in np.eye(S.dim)])
+        return np.linalg.solve(M, b)
+
+    def solve_eliminate(order, roots, x, diagonal, b, frozen):
+        seen["eliminate"] = diagonal, None
+        return real_eliminate(order, roots, x, diagonal, b, frozen)
+
+    real_eliminate = solver._eliminate
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "_conjugate_gradient", solve_cg)
+        mp.setattr(solver, "_eliminate", solve_eliminate)
+        steps = [solver._newton_noda_step(S, segs, x, excess, xp, frozen, order)
+                 for order in (None, solver._elimination_order(S, segs))]
+    for diagonal, matrix in seen.values():
+        np.testing.assert_allclose(diagonal, np.diag(M), rtol=1e-13)
+        if matrix is not None:
+            np.testing.assert_allclose(matrix, M, rtol=1e-12, atol=1e-12)
+    assert set(seen) == {"cg", "eliminate"}
+    np.testing.assert_allclose(steps[0], steps[1], rtol=1e-9)
+
+
 @pytest.mark.parametrize("kind", ["adjacency", "q"])
 def test_newton_noda_on_hypertrees_never_runs_conjugate_gradient(monkeypatch, kind):
     steps = []
@@ -259,6 +345,19 @@ def test_newton_noda_on_hypertrees_never_runs_conjugate_gradient(monkeypatch, ki
     pair = spectral_radius(loose_path(3, 400), kind)
     assert pair.converged
     assert steps
+
+
+@pytest.mark.parametrize("kind", ["adjacency", "q"])
+def test_tight_path_converges_by_conjugate_gradient(kind):
+    # the 3-uniform tight path {k, k+1, k+2} is not a hypertree, so its
+    # Newton-Noda steps solve by conjugate gradient; without them it takes
+    # about 70,000 iterations
+    H = UniformHypergraph(500, 3, [(k, k + 1, k + 2) for k in range(498)])
+    assert _order(H, kind) is None
+    pair = spectral_radius(H, kind)
+    assert pair.converged
+    assert pair.iterations < 1000
+    assert pair.lower <= pair.value <= pair.upper
 
 
 @pytest.mark.parametrize("kind", ["adjacency", "q"])
@@ -684,6 +783,21 @@ def test_config_validation():
         SolverConfig(tolerance=0.0)
     with pytest.raises(ValueError):
         SolverConfig(max_iterations=0)
+
+
+def test_config_refuses_booleans_and_fractional_caps():
+    # the rule of the hypergraph's integer checks: an integral float is
+    # taken as its int, a boolean or a fraction is refused
+    for cap in (True, False, np.True_, 10.5, float("nan"), float("inf"), None):
+        with pytest.raises(ValueError):
+            SolverConfig(max_iterations=cap)
+    for tol in (True, np.True_):
+        with pytest.raises(ValueError):
+            SolverConfig(tolerance=tol)
+    cfg = SolverConfig(max_iterations=10.0)
+    assert type(cfg.max_iterations) is int and cfg.to_json()["max_iterations"] == 10
+    pair = spectral_radius(loose_path(3, 50), "adjacency", cfg)
+    assert pair.iterations == 10
 
 
 def test_eigenpair_json_fields():
