@@ -23,7 +23,7 @@ import numpy as np
 from .bounds import certificate_vector, degree_power_mean_bound, optimal_weights
 from .errors import CapacityError
 from .hypergraph import UniformHypergraph, _unique_rows
-from .solver import EigenPair, SolverConfig, spectral_radius
+from .solver import EigenPair, SolverConfig, rounding_count, rounding_gamma, spectral_radius
 from .tensors import (
     ADJACENCY,
     SIGNLESS_LAPLACIAN,
@@ -36,10 +36,6 @@ BLOWUP_EDGE_CAP = 5_000_000
 
 #: Default relative tolerance of the apply identities.
 IDENTITY_RTOL = 1e-10
-
-#: Relative tolerance of the lifted blow-up pair: the ratio deviation and
-#: the residual over the lifted radius.
-SCALING_TOLERANCE = 1e-6
 
 
 @dataclass(frozen=True)
@@ -216,9 +212,13 @@ class ScalingReport:
     the base pair's, the residual is ``kron_residual`` and ``iterations`` is
     0.  ``deviation`` is the largest relative difference between the
     blow-up's ratios (Tx)_i / x_i^(r-1) at that vector and (r-1)! times the
-    base ratios, on the support of the base vector.  The check passes when
-    the base pair converged, ``deviation`` is within ``SCALING_TOLERANCE``
-    and ``kron_residual`` within that tolerance times the lifted radius.
+    base ratios, on the support of the base vector.  Both quantities are
+    rounding alone once the identities hold, so the check passes when the
+    base pair converged, ``deviation`` is at most gamma_k
+    (:func:`solver.rounding_gamma`) and ``kron_residual`` is within gamma_k
+    times the lifted radius of (r-1)! times the base pair's own residual,
+    with k the rounding counts of the two operators' ratios plus one for
+    the product by (r-1)!.
     """
 
     factor: float
@@ -246,8 +246,14 @@ def _scaling_check(H, tilde_op, cfg, base_pair=None) -> ScalingReport:
     Given the apply identities, rho(tilde) is the base radius times the
     radius (r-1)! of the all-distinct-labels tensor (Shao 2013), and the
     ratios of the blow-up at x (x) 1 are (r-1)! times the base ratios at x,
-    so the base bracket lifts.  ``base_pair`` is the base solve, when it is
-    already done.
+    so the base bracket lifts, and the residual at x (x) 1 is (r-1)! times
+    the base residual at x.  In floating point each ratio carries the
+    rounding that :func:`solver.rounding_count` bounds for its operator, so
+    a blow-up ratio and (r-1)! times its base ratio differ by at most
+    gamma_k relative, k the two counts plus one, and the lifted residual and
+    (r-1)! times the base one, each read from the same applies, by at most
+    gamma_k times the lifted radius.  ``base_pair`` is the base solve, when
+    it is already done.
     """
     r = H.r
     factor = float(math.factorial(r - 1))
@@ -261,7 +267,8 @@ def _scaling_check(H, tilde_op, cfg, base_pair=None) -> ScalingReport:
     kron_residual = float(np.max(np.abs(tilde_y - value * lifted_p)) / np.max(lifted_p))
     # on a disconnected base, x is zero off the winning component
     support = x > 0
-    base_y = TensorOperator(tilde_op.kind, hypergraph=H).apply(x)
+    base_op = TensorOperator(tilde_op.kind, hypergraph=H)
+    base_y = base_op.apply(x)
     # an entry of x whose power underflows gives an infinite ratio, which
     # turns the deviation nan and fails the check
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -277,10 +284,12 @@ def _scaling_check(H, tilde_op, cfg, base_pair=None) -> ScalingReport:
         upper=factor * base_pair.upper,
         converged=base_pair.converged,
     )
-    # the residual is in units of value, so it is gated relative to it;
-    # value is 0 only without edges, and the residual is then 0 too
-    ok = (base_pair.converged and deviation <= SCALING_TOLERANCE
-          and kron_residual <= SCALING_TOLERANCE * value)
+    # the residuals are in units of value, so their difference is gated
+    # relative to it; value is 0 only without edges, and both residuals are
+    # then 0 too
+    margin = rounding_gamma(rounding_count(tilde_op) + rounding_count(base_op) + 1)
+    ok = (base_pair.converged and deviation <= margin
+          and abs(kron_residual - factor * base_pair.residual) <= margin * value)
     return ScalingReport(factor, base_pair, tilde_pair, deviation, kron_residual, ok)
 
 
@@ -388,12 +397,12 @@ def verify_blowup(
         achieved = rayleigh(tilde_a, cert)
         target = math.factorial(H.r - 1) * degree_power_mean_bound(H)
         certificate_gap = abs(achieved - target)
-        # relative to the target: every summand is positive, so the rounding
-        # of the apply's sums (up to the largest blow-up degree of terms),
-        # of the dot product (r n terms) and of the certificate entries and
-        # the power mean (a few ulps each) stays within this many ulps
-        ulps = int(bl.tilde.degree_array.max()) + bl.tilde.n + 4 * H.r
-        certificate_ok = certificate_gap <= ulps * math.ulp(1.0) * target
+        # relative to the target: every summand is positive, so the gap is
+        # within gamma_k of it, k counting the roundings of the apply (its
+        # ratios' count), of the dot product's r n terms, and 4 r for the
+        # certificate entries and the power mean
+        k = rounding_count(tilde_a) + bl.tilde.n + 4 * H.r
+        certificate_ok = certificate_gap <= rounding_gamma(k) * target
     else:
         certificate_gap = 0.0
         certificate_ok = True

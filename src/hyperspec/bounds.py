@@ -4,6 +4,12 @@ The adjacency bound is the power mean of order r/(r-1) of the degree
 sequence; the signless Laplacian bound is twice that.  For connected
 hypergraphs with r >= 3 the bounds are attained exactly on the regular
 instances, which is what the equality/consistency flags track.
+
+The gates read no tolerance of their own.  A bound holds unless it lies
+above the certified upper side of its radius by more than the rounding of
+its own computation, a relative ``gamma_k`` (:func:`solver.rounding_gamma`).
+The equality flag is |rho - bound| <= the solver tolerance; on a regular
+input rho and the bound are both exactly the degree, so the gap is 0.
 """
 
 from __future__ import annotations
@@ -13,14 +19,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .hypergraph import UniformHypergraph
-from .solver import EigenPair, SolverConfig, spectral_radius
+from .solver import EigenPair, SolverConfig, rounding_gamma, spectral_radius
 from .tensors import ADJACENCY, SIGNLESS_LAPLACIAN
 
 AVERAGE_DEGREE = "average-degree"
-
-#: Equality is declared when |rho - bound| falls within this multiple of the
-#: solver tolerance; strict gaps at desk scale sit far above it.
-EQUALITY_TOLERANCE_FACTOR = 100.0
 
 
 def degree_power_mean_bound(H: UniformHypergraph) -> float:
@@ -83,8 +85,9 @@ def certificate_vector(H: UniformHypergraph, weights) -> np.ndarray:
 class BoundReport:
     """Outcome of checking one bound against one computed spectral radius.
 
-    ``pair`` is the solve behind ``rho``, kept so that later checks on the
-    same hypergraph can reuse it.
+    ``pair`` is the solve behind ``rho``: :func:`bounds_hold` reads its
+    certified upper side, and later checks on the same hypergraph can reuse
+    it.
     """
 
     kind: str
@@ -127,11 +130,10 @@ def verify_bounds(H: UniformHypergraph, cfg: SolverConfig | None = None) -> list
     regular = H.is_regular()
     connected = H.is_connected()
     characterized = connected and H.r >= 3 and H.num_edges > 0
-    eq_tol = EQUALITY_TOLERANCE_FACTOR * cfg.tolerance
 
     def build(kind: str, bound: float, pair: EigenPair, check: bool) -> BoundReport:
         gap = pair.value - bound
-        equality = abs(gap) <= eq_tol
+        equality = abs(gap) <= cfg.tolerance
         consistent = equality == regular if check else True
         return BoundReport(
             kind=kind,
@@ -153,10 +155,26 @@ def verify_bounds(H: UniformHypergraph, cfg: SolverConfig | None = None) -> list
     ]
 
 
-def bounds_hold(reports: list[BoundReport], tolerance: float) -> bool:
-    """The bound gate: every report is consistent, and no radius falls below
-    its bound by more than the solver tolerance (plus 1e-9 of slack)."""
-    return all(rep.consistent and rep.gap >= -(tolerance + 1e-9) for rep in reports)
+def bounds_hold(reports: list[BoundReport]) -> bool:
+    """The bound gate: every report is consistent, and no bound, less its
+    rounding error, lies above the certified upper side of its radius.
+
+    The power mean ``top * mean((d / top)^p)^(1/p)`` of n degrees is within
+    a relative gamma_k of its exact value, k = 3n + 6: each term takes a
+    quotient and a power (three roundings), the rounded exponent p moves
+    the mean by at most n u / e relative (t^p |ln t| <= 1 / (e p) on
+    (0, 1], and the sum is at least 1, the term of the top degree), the sum
+    and the mean add n, the outer power (of exponent 1/p < 1, which shrinks
+    the mean's relative error) two and its rounded exponent at most
+    2 ln(n) u <= n u (the mean is at least 1/n), and the product by top
+    one.  Twice the power mean is exact, and the average degree takes
+    two roundings.  The vector of a report's pair has one entry per vertex.
+    """
+    return all(
+        rep.consistent
+        and rep.bound * (1.0 - rounding_gamma(3 * rep.pair.vector.size + 6)) <= rep.pair.upper
+        for rep in reports
+    )
 
 
 def dominance_holds(reports: list[BoundReport]) -> bool:

@@ -668,11 +668,21 @@ def _iterate(T: TensorOperator, segs: _Segments, tolerance: float, max_iteration
     return *accepted[:3], max_iterations, False
 
 
-def _rounding_margin(T: TensorOperator) -> float:
+def rounding_gamma(k: int) -> float:
     """gamma_k = k u / (1 - k u) (Higham, Accuracy and Stability of Numerical
-    Algorithms, 2002, Lemma 3.1): a bound on the relative rounding error of
-    every ratio ``(Tx + SHIFT x^[r-1])_i / x_i^(r-1)`` that ``_iterate``
-    computes, while no entry of x^[r-1] is subnormal.
+    Algorithms, 2002, Lemma 3.1): a bound on the relative error of a
+    computation of k roundings of positive terms, with u the unit roundoff.
+    The bracket's margin and every float gate of :mod:`bounds` and
+    :mod:`blowup` take this bound, each with the k of the operations it
+    covers."""
+    ku = k * UNIT_ROUNDOFF
+    return ku / (1.0 - ku)
+
+
+def rounding_count(T: TensorOperator) -> int:
+    """The k of the ``rounding_gamma`` that bounds the relative rounding
+    error of every ratio ``(Tx + SHIFT x^[r-1])_i / x_i^(r-1)`` that
+    ``_iterate`` computes, while no entry of x^[r-1] is subnormal.
 
     For a hypergraph kind, k = max(r, 5) + Delta + 2, with Delta the largest
     degree: each edge term of the apply is a product of r - 1 entries (r - 2
@@ -684,11 +694,8 @@ def _rounding_margin(T: TensorOperator) -> float:
     so k = (r - 1) dim + 4.
     """
     if T.kind in HYPERGRAPH_KINDS:
-        k = max(T.order, 5) + int(T._deg.max()) + 2
-    else:
-        k = (T.order - 1) * T.dim + 4
-    ku = k * UNIT_ROUNDOFF
-    return ku / (1.0 - ku)
+        return max(T.order, 5) + int(T._deg.max()) + 2
+    return (T.order - 1) * T.dim + 4
 
 
 def _outward(side: float, margin: float, away: float) -> float:
@@ -743,7 +750,7 @@ def power_iterate(T: TensorOperator, cfg: SolverConfig | None = None) -> EigenPa
     # is subnormal: such a bracket is not certified
     if converged and float(x.min()) ** (S.order - 1) < sys.float_info.min:
         converged = False
-    margin = _rounding_margin(S)
+    margin = rounding_gamma(rounding_count(S))
     mine = segs.seg == np.argmax(lo_segs)
     vector = np.zeros(T.dim)
     vector[mine if vertices is None else vertices[mine]] = x[mine]

@@ -28,6 +28,13 @@ HYPERGRAPH_KINDS = (ADJACENCY, SIGNLESS_LAPLACIAN)
 _KIND_ALIASES = {"a": ADJACENCY, "q": SIGNLESS_LAPLACIAN}
 
 
+def resolve_kind(kind: str) -> str:
+    """The full name of a tensor kind: "a" and "q" are short for the
+    adjacency and the signless Laplacian; any other name is returned as
+    given, for the caller to accept or refuse."""
+    return _KIND_ALIASES.get(kind, kind)
+
+
 class DenseTensor:
     """Order-r cubical tensor with every entry stored.
 
@@ -83,6 +90,7 @@ def dense_tensor_of(H: UniformHypergraph, kind: str) -> DenseTensor:
     Intended for small instances and independent cross-checks; everything
     else should go through :class:`TensorOperator`.
     """
+    kind = resolve_kind(kind)
     if kind not in HYPERGRAPH_KINDS:
         raise ValueError(f"unknown hypergraph tensor kind {kind!r}")
     n, r = H.n, H.r
@@ -122,7 +130,7 @@ class TensorOperator:
 
     def __init__(self, kind: str, hypergraph: UniformHypergraph | None = None,
                  tensor: DenseTensor | None = None):
-        self.kind = kind = _KIND_ALIASES.get(kind, kind)
+        self.kind = kind = resolve_kind(kind)
         if kind in HYPERGRAPH_KINDS:
             if hypergraph is None:
                 raise ValueError(f"kind {kind!r} needs a hypergraph")

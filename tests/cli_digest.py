@@ -43,6 +43,9 @@ FILES = {
                                              for k in range(50)) + "2 4 6\n",
     # the 3-uniform tight path {k, k+1, k+2} on 200 vertices, not a hypertree
     "tight3_200.hg": "200 3\n" + "".join(f"{k + 1} {k + 2} {k + 3}\n" for k in range(198)),
+    # the tight 3-cycle on 1,000 vertices less the edge {1, 2, 3}
+    "D1000.hg": "1000 3\n" + "".join(f"{k + 1} {(k + 1) % 1000 + 1} {(k + 2) % 1000 + 1}\n"
+                                      for k in range(1, 1000)),
     "disjoint.hg": "7 3\n1 2 3\n4 5 6\n",
     "dup.hg": "4 3\n1 2 3\n3 2 1\n2 3 4\n",
     "r62.hg": f"3 {2**62}\n",
@@ -92,6 +95,12 @@ EDGE_CASES = [
     "bound --gen complete:70,3",
     "bound --gen complete:70,3 --json",
     "bound --gen random:10,4,8,3 --json",
+    # loose tolerances: gaps above the tolerance but within 100 times it,
+    # and lifted residuals that grow with it
+    "bound --in {f}/D1000.hg --tol 1e-4",
+    "bound --gen loose_path:3,40 --tol 1e-2",
+    "blowup --gen loose_path:3,40 --verify --tol 1e-4",
+    "blowup --gen loose_path:3,40 --verify --tol 1e-2",
     "spectrum --gen complete:5,3",
     # the Newton-Noda finish: by elimination on a hypertree, by conjugate
     # gradient off one

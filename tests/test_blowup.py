@@ -1,10 +1,12 @@
 """Tests for the blow-up construction and its spectral identities."""
 
 import importlib
+import importlib.util
 import itertools
 import json
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -329,18 +331,47 @@ def test_spectral_scaling_complete_4_3():
     assert report.ok
 
 
-def test_spectral_scaling_residual_is_gated_relative_to_the_lifted_radius(monkeypatch):
+def test_spectral_scaling_residual_is_gated_relative_to_the_lifted_radius():
     # complete(9, 6) less one edge, an irregular input with lambda~ about
     # 5! * 55.3 = 6640: the residual reads about 6e-10 in absolute terms,
-    # but only rounding, about 1e-13 of lambda~, like the deviation.  On a
-    # regular input the residual comes from normalizing the all-ones
-    # vector alone
-    monkeypatch.setattr(blowup_mod, "SCALING_TOLERANCE", 1e-11)
+    # 5! times the base residual up to rounding, which is gated relative to
+    # lambda~, like the deviation.  On a regular input the residual comes
+    # from normalizing the all-ones vector alone
     H = complete(9, 6)
     report = check_spectral_scaling(UniformHypergraph(H.n, H.r, H.edges[1:]))
     assert report.kron_residual > 1e-11
     assert report.deviation <= 1e-11
     assert report.ok
+
+
+def _verify_suite_graph():
+    """The base 4-graph of the benchmark's verify-suite workload, before its
+    seeded relabeling."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    suite = workloads.VerifySuite
+    edges = workloads.random_edges(np.random.default_rng(suite.graph_seed), suite.n, suite.r,
+                                   suite.m)
+    return UniformHypergraph(suite.n, suite.r, edges)
+
+
+def test_a_blowup_apply_off_by_a_part_in_a_billion_fails_the_scaling_check(monkeypatch):
+    # the lifted ratios differ from (r-1)! times the base ones by rounding
+    # alone, about 1e-14 here, so a fault of 1e-9 in the blow-up's apply
+    # must show, in both kinds
+    H = _verify_suite_graph()
+    assert verify_blowup(H).ok
+    apply = TensorOperator.apply
+
+    def faulty(self, x, work=None):
+        y = apply(self, x, work)
+        return y * (1 + 1e-9) if self.dim == H.r * H.n else y
+
+    monkeypatch.setattr(TensorOperator, "apply", faulty)
+    result = verify_blowup(H)
+    assert not result.scaling.ok and not result.q_identities.scaling.ok and not result.ok
 
 
 def test_q_identities_acceptance_values():

@@ -6,7 +6,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hyperspec import (
@@ -27,7 +27,7 @@ from hyperspec import (
     spectral_radius,
     verify_bounds,
 )
-from hyperspec.bounds import dominance_holds
+from hyperspec.bounds import bounds_hold, dominance_holds
 
 # frozen by independent arithmetic: ((4 + 2*sqrt(2)) / 5) ** (2/3)
 LOOSE_PATH_BOUND = 1.2309312092285165
@@ -290,6 +290,27 @@ def test_dominance_gate():
     for bound in (reports[0].bound + 1e-6, reports[0].bound):
         avg.bound = bound
         assert not dominance_holds(reports)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(2, 5).flatmap(lambda r: st.tuples(
+        st.just(r), st.integers(r + 1, 12), st.integers(1, 16), st.integers(0, 10**6))),
+    st.sampled_from([1e-2, 1e-4, 1e-6]),
+)
+def test_gates_pass_irregular_inputs_whose_gaps_exceed_the_tolerance(case, tol):
+    # with every |gap| above tol, no row is declared equal, so every row is
+    # consistent, and a bound below rho stays below the certified upper side:
+    # the gates must pass, whatever the tolerance.  A bound just above that
+    # side, by far more than the power mean's rounding, fails
+    r, n, m, seed = case
+    H = random_hypergraph(n, r, min(m, math.comb(n, r)), seed)
+    assume(not H.is_regular())
+    reports = verify_bounds(H, SolverConfig(tolerance=tol))
+    assume(all(abs(rep.gap) > tol for rep in reports))
+    assert bounds_hold(reports) and dominance_holds(reports)
+    reports[1].bound = reports[1].pair.upper * (1 + 1e-12)
+    assert not bounds_hold(reports)
 
 
 def test_bound_report_serialization():

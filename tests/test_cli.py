@@ -54,7 +54,13 @@ def test_config_reports_the_shift_and_no_seed(capsys):
 def test_spectrum_q_kind(capsys):
     code, out, _ = run(capsys, ["spectrum", "--gen", "single_edge:3", "--kind", "q", "--json"])
     assert code == 0
+    assert json.loads(out)["kind"] == "signless-laplacian"
     assert abs(json.loads(out)["result"]["lambda"] - 2.0) < 1e-9
+    # --kind takes "adjacency" and "q" only, not the library's other names
+    for kind in ("a", "signless-laplacian"):
+        with pytest.raises(SystemExit) as exc:
+            main(["spectrum", "--gen", "single_edge:3", "--kind", kind])
+        assert exc.value.code == 2
 
 
 def test_spectrum_json_deterministic(capsys):
@@ -113,6 +119,26 @@ def test_bound_passes_regular_inputs_of_large_degree(capsys, spec):
     assert code == 0
     reports = json.loads(out)["reports"]
     assert reports[0]["bound"] == reports[2]["bound"]
+
+
+@pytest.mark.parametrize("argv", [
+    "bound --in {f}/D1000.hg --tol 1e-4",
+    "bound --gen loose_path:3,40 --tol 1e-2",
+    "blowup --gen loose_path:3,40 --verify --tol 1e-4",
+    "blowup --gen loose_path:3,40 --verify --tol 1e-2",
+])
+def test_a_loose_tolerance_fails_no_check(tmp_path, capsys, argv):
+    # irregular inputs whose gaps exceed the tolerance by less than 100
+    # times, and blow-up lifts whose residual grows with the tolerance:
+    # every gate decides from the rounding of what it checks, so each
+    # passes.  D1000 is the tight 3-cycle on 1,000 vertices less the edge
+    # {1, 2, 3}
+    n = 1000
+    (tmp_path / "D1000.hg").write_text(
+        f"{n} 3\n" + "".join(f"{k + 1} {(k + 1) % n + 1} {(k + 2) % n + 1}\n" for k in range(1, n))
+    )
+    code, _, err = run(capsys, argv.format(f=tmp_path).split())
+    assert code == 0, err
 
 
 def test_verify_passes_a_regular_input_of_large_degree(tmp_path, capsys):
@@ -594,7 +620,7 @@ def test_builtin_verify_rows_are_pinned(capsys):
 def test_bound_gate_is_shared(tmp_path, capsys, monkeypatch):
     import hyperspec.cli as cli_mod
 
-    monkeypatch.setattr(cli_mod, "bounds_hold", lambda reports, tolerance: False)
+    monkeypatch.setattr(cli_mod, "bounds_hold", lambda reports: False)
     code, _, _ = run(capsys, ["bound", "--gen", "complete:5,3"])
     assert code == 4
     (tmp_path / "a.hg").write_text("3 3\n1 2 3\n")

@@ -24,6 +24,7 @@ from hyperspec import (
     random_hypergraph,
     rayleigh,
     single_edge,
+    spectral_radius,
 )
 
 
@@ -234,6 +235,20 @@ def test_dense_tensor_of_matches_oracle():
     for v, d in enumerate([1, 1, 2, 1, 1]):
         diagonal[v, v, v] = d
     np.testing.assert_allclose(q - diagonal, oracles.dense_adjacency(H))
+
+
+def test_every_entry_point_reads_one_kind_alias_table():
+    # "a" and "q" are short for the two hypergraph kinds in the operator,
+    # the solver and the dense tensor alike
+    H = loose_path(3, 2)
+    for short, kind in (("a", "adjacency"), ("q", "signless-laplacian")):
+        np.testing.assert_array_equal(
+            dense_tensor_of(H, short).entries, dense_tensor_of(H, kind).entries
+        )
+        assert TensorOperator(short, hypergraph=H).kind == kind
+        assert spectral_radius(H, short).value == spectral_radius(H, kind).value
+    with pytest.raises(ValueError):
+        dense_tensor_of(H, "laplacian")
 
 
 def test_dense_dimension_cap():
